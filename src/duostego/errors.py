@@ -123,3 +123,16 @@ class CoordinateOutOfRangeError(ExtractionError):
 
 class HeaderCorruptError(ExtractionError):
     """The recovered length header is inconsistent with the recovered bits."""
+
+
+class RepeatedPositionError(ExtractionError):
+    """Two sentences name the same sample, which covering never does."""
+
+    def __init__(self, first, second, index):
+        self.first = first
+        self.second = second
+        self.index = index
+        super().__init__(
+            f"sentences {first} and {second} both name sample {index}; "
+            f"the location text is damaged (a duplicated line?)"
+        )

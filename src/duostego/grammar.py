@@ -23,8 +23,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import NoSkeletonError, UnknownWordError
-from .lexicon import Lexicon, PosClass
+from .errors import NoSkeletonError
+from .lexicon import _POS_ORDER, Lexicon, PosClass
 from .rng import SplitMix64
 
 # fmt: off
@@ -48,8 +48,6 @@ PRODUCTIONS: tuple[tuple[str, tuple], ...] = (
 
 START = "S"
 
-_POS_ORDER = {pos: i for i, pos in enumerate(PosClass)}
-
 
 def _skeleton_key(skeleton):
     return tuple(_POS_ORDER[p] for p in skeleton)
@@ -65,6 +63,7 @@ class Grammar:
         self._min_len = self._minimum_lengths()
         self._derivable_cache: dict[tuple, frozenset] = {}
         self._skeletons_cache: dict[int, tuple] = {}
+        self._skeleton_keys_cache: dict[int, tuple] = {}
         self._unit_closure, self._binary_rules = self._binarize()
 
     # -- exact-length enumeration ---------------------------------------
@@ -191,25 +190,30 @@ class Grammar:
         """
         if not digits:
             raise ValueError("cannot generate a sentence for zero digits")
-        skeletons = self.skeletons_of_length(len(digits))
-        rng = SplitMix64(seed)
-        skeleton = skeletons[rng.below(len(skeletons))]
+        skeletons = self._skeleton_keys(len(digits))
+        below = SplitMix64(seed).below
+        skeleton = skeletons[below(len(skeletons))]
+        cells = lexicon.words_by_pos
         tokens = []
         for digit, pos in zip(digits, skeleton):
-            words = lexicon.words_for(digit, pos)
-            tokens.append(words[rng.below(len(words))])
+            words = cells[pos][digit]
+            tokens.append(words[below(len(words))])
         return tokens
+
+    def _skeleton_keys(self, length: int) -> tuple[tuple[int, ...], ...]:
+        """skeletons_of_length(length) with each PosClass as its index in PosClass."""
+        cached = self._skeleton_keys_cache.get(length)
+        if cached is None:
+            cached = tuple(map(_skeleton_key, self.skeletons_of_length(length)))
+            self._skeleton_keys_cache[length] = cached
+        return cached
 
 
 def decode_sentence(lexicon: Lexicon, tokens: Iterable[str]) -> list[int]:
     """Token-wise category digits; lexicon-only, the grammar is never consulted."""
-    digits = []
-    for position, token in enumerate(tokens):
-        try:
-            digits.append(lexicon.digit_of(token))
-        except UnknownWordError:
-            raise UnknownWordError(token, position) from None
-    return digits
+    if not isinstance(tokens, (list, tuple)):
+        tokens = list(tokens)  # digits_of may read the tokens twice
+    return lexicon.digits_of(tokens)
 
 
 DEFAULT_GRAMMAR = Grammar()

@@ -15,7 +15,9 @@ are normalized to lowercase and may not contain whitespace.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from importlib import resources
+from typing import Sequence
 
 from .errors import (
     DuplicateWordError,
@@ -82,9 +84,35 @@ class Lexicon:
         except KeyError:
             raise UnknownWordError(word) from None
 
+    def digits_of(self, tokens: Sequence[str]) -> list[int]:
+        """Category digit of every token, case-insensitive.
+
+        Raises UnknownWordError naming the first token in no category.
+        """
+        table = self._digit_by_word
+        try:
+            return [table[token] for token in tokens]  # lowercase text, as generated
+        except KeyError:
+            pass
+        words = [token.lower() for token in tokens]
+        for position, word in enumerate(words):
+            if word not in table:
+                raise UnknownWordError(tokens[position], position)
+        return [table[word] for word in words]
+
     def words_for(self, digit: int, pos: PosClass) -> tuple[str, ...]:
         """Sorted words of one (digit, POS) cell; non-empty by invariant."""
         return self._cells[(digit, pos)]
+
+    @cached_property
+    def words_by_pos(self) -> tuple[dict[int, tuple[str, ...]], ...]:
+        """words_for(digit, pos) as words_by_pos[i][digit], for the i-th PosClass.
+
+        The lookup hashes no PosClass member, which costs a Python-level
+        call per hash. Built on first use, so loading a lexicon does no
+        extra work.
+        """
+        return tuple({digit: self._cells[(digit, pos)] for digit in DIGITS} for pos in PosClass)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self._digit_by_word

@@ -10,6 +10,7 @@ portable arithmetic.
 """
 
 _MASK64 = (1 << 64) - 1
+_RANGE64 = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -25,19 +26,30 @@ class SplitMix64:
 
     def next64(self) -> int:
         """Next raw 64-bit output."""
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
+        z = self._state = (self._state + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), rejection-sampled to avoid modulo bias."""
+        """Uniform integer in [0, bound), rejection-sampled to avoid modulo bias.
+
+        The next64 step is written out here: this is the generator's hot
+        call, once per drawn word and per selected sample.
+        """
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        # Largest multiple of bound that fits in 64 bits.
-        limit = (1 << 64) - ((1 << 64) % bound)
+        # Accept a draw z when the whole run of `bound` values starting at
+        # z - z % bound fits below 2**64, i.e. z is under the largest
+        # multiple of bound that does.
+        top = _RANGE64 - bound
+        state = self._state
         while True:
-            r = self.next64()
-            if r < limit:
-                return r % bound
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            value = z % bound
+            if z - value <= top:
+                self._state = state
+                return value

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice, product
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     CapacityExceededError,
     CoordinateOutOfRangeError,
     OutOfRangeError,
+    RepeatedPositionError,
     ZeroSamplesError,
 )
 from .rng import SplitMix64
@@ -54,11 +57,22 @@ class GridGeometry:
             )
         return index
 
+    @cached_property
+    def _coord_digits(self) -> tuple[tuple[int, ...], ...]:
+        """Zero-padded digits of every coordinate value, built on first use.
+
+        The digit tuples of 0, 1, 2, ... in order are exactly the
+        lexicographic product of range(10), so the table costs
+        O(max(width, height)), not O(total_samples).
+        """
+        values = max(self.width, self.height)
+        return tuple(islice(product(range(10), repeat=self.digit_width), values))
+
     def digits_for(self, index: int) -> list[int]:
         """The 2 x digit_width decimal digits encoding a sample's coordinates."""
         x, y = self.index_to_coord(index)
-        d = self.digit_width
-        return [int(c) for c in f"{x:0{d}d}{y:0{d}d}"]
+        table = self._coord_digits
+        return [*table[x], *table[y]]
 
     def index_from_digits(self, digits: Sequence[int]) -> int:
         """Inverse of digits_for; raises CoordinateOutOfRangeError off-grid."""
@@ -67,8 +81,11 @@ class GridGeometry:
             raise CoordinateOutOfRangeError(
                 f"need {2 * d} coordinate digits, got {len(digits)}"
             )
-        x = int("".join(map(str, digits[:d])))
-        y = int("".join(map(str, digits[d:])))
+        # Read all 2d digits as one decimal number: x is its upper half.
+        value = 0
+        for digit in digits:
+            value = 10 * value + digit
+        x, y = divmod(value, 10**d)
         try:
             return self.coord_to_index(x, y)
         except OutOfRangeError as exc:
@@ -96,11 +113,13 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
         raise CapacityExceededError(f"cannot select {m} distinct samples from {n}")
     if m < 0:
         raise ValueError(f"selection count must be non-negative, got {m}")
-    rng = SplitMix64(seed)
+    if not 0 <= seed < 1 << 64:
+        raise OutOfRangeError(f"seed {seed} outside [0, 2**64)")
+    below = SplitMix64(seed).below
     displaced: dict[int, int] = {}
     out = []
     for t in range(m):
-        j = t + rng.below(n - t)
+        j = t + below(n - t)
         out.append(displaced.get(j, j))
         displaced[j] = displaced.get(t, t)
     return out
@@ -126,5 +145,17 @@ def embed_chunks(samples: np.ndarray, indices: np.ndarray, chunks: np.ndarray) -
 
 
 def extract_chunks(samples: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorized extract_chunk over selected positions."""
+    """Vectorized extract_chunk over selected positions.
+
+    Covering never selects a sample twice, so a repeated position means
+    damaged location text; it raises RepeatedPositionError naming the
+    first sentence that repeats an earlier one.
+    """
+    ordered = np.sort(indices)
+    if np.any(ordered[1:] == ordered[:-1]):
+        seen: dict[int, int] = {}
+        for sentence, index in enumerate(indices.tolist()):
+            if index in seen:
+                raise RepeatedPositionError(seen[index], sentence, index)
+            seen[index] = sentence
     return (samples[indices] & CHUNK_MASK).astype(np.uint8)

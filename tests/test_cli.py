@@ -157,6 +157,24 @@ class TestExitCodes:
         assert code == 6
         capsys.readouterr()
 
+    def test_duplicated_line_is_6(self, tmp_path, carrier_path, capsys):
+        _, stego, text, _ = run_cover(tmp_path, carrier_path)
+        lines = text.read_text().splitlines()
+        lines.insert(3, lines[3])
+        lines.pop()
+        text.write_text("\n".join(lines))
+        code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
+        assert code == 6
+        assert "sentences 3 and 4" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_1(self, tmp_path, carrier_path, capsys, seed):
+        code, stego, text, _ = run_cover(tmp_path, carrier_path, seed=seed)
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not stego.exists() and not text.exists()
+
     def test_missing_file_is_1(self, tmp_path, capsys):
         assert main(["capacity", str(tmp_path / "absent.wav")]) == 1
         capsys.readouterr()

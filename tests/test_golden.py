@@ -1,0 +1,203 @@
+"""Golden vectors that freeze the wire format.
+
+Every value here was recorded from the original implementation; a
+rewrite of the generator, the selection, the coordinate digits, the
+sentence generator or the embedding must reproduce them exactly. Same
+seed, carrier, payload and lexicon must give byte-identical output.
+
+Carriers and payloads come from SHAKE-128 over a fixed label, so the
+inputs do not depend on any numpy random stream.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from duostego import DEFAULT_GRAMMAR, cover, geometry, select_samples, uncover, write_wav
+from duostego.rng import SplitMix64
+from duostego.wav_codec import AudioClip
+
+
+def test_splitmix64_reference_outputs():
+    # The published reference outputs of SplitMix64 at seed 1234567.
+    rng = SplitMix64(1234567)
+    assert [rng.next64() for _ in range(5)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+
+
+@pytest.mark.parametrize(
+    "bound, expected, raw_draws",
+    [
+        (1, [0, 0, 0, 0, 0, 0], 6),
+        (7, [4, 5, 2, 4, 1, 3], 6),
+        (282, [32, 249, 207, 62, 221, 149], 6),
+        # About half of all 64-bit draws are rejected for this bound: the
+        # six answers took eight raw outputs.
+        (
+            2**63 + 1,
+            [
+                470456245648421624,
+                153245711798325687,
+                425401269711290699,
+                2206529413268972963,
+                4872513426528128778,
+                5336553030172775127,
+            ],
+            8,
+        ),
+    ],
+)
+def test_below_known_answers(bound, expected, raw_draws):
+    rng = SplitMix64(20240601)
+    assert [rng.below(bound) for _ in range(6)] == expected
+    # The stream resumes right after the last raw draw, rejected ones included.
+    reference = SplitMix64(20240601)
+    for _ in range(raw_draws):
+        reference.next64()
+    assert rng.next64() == reference.next64()
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _unshift_xor(z: int, shift: int) -> int:
+    """Inverse of z ^ (z >> shift) on 64-bit values."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _seed_whose_first_output_is(z: int) -> int:
+    """Invert the published SplitMix64 output function for the first draw."""
+    z = _unshift_xor(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unshift_xor(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    state = _unshift_xor(z, 30)
+    return (state - _GOLDEN) & _MASK64
+
+
+@pytest.mark.parametrize("bound", [7, 8, 282, 2**40, 2**63 + 1, 3 * 2**62, 2**64 - 1])
+def test_below_rejection_limit(bound):
+    # A raw draw is kept iff it lies under the largest multiple of bound
+    # that fits in 64 bits; a rejected draw is replaced by the next one.
+    # A power of two divides 2**64, so nothing is rejected for it.
+    limit = (1 << 64) - (1 << 64) % bound
+    kept = _seed_whose_first_output_is(limit - 1)
+    assert SplitMix64(kept).next64() == limit - 1
+    assert SplitMix64(kept).below(bound) == (limit - 1) % bound
+    if limit == 1 << 64:
+        return
+    rejected = _seed_whose_first_output_is(limit)
+    reference = SplitMix64(rejected)
+    assert reference.next64() == limit
+    draw = reference.next64()
+    while draw >= limit:
+        draw = reference.next64()
+    assert SplitMix64(rejected).below(bound) == draw % bound
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_below_rejects_empty_range(bound):
+    with pytest.raises(ValueError):
+        SplitMix64(1).below(bound)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, expected",
+    [
+        (10, 10, 7, [7, 0, 4, 6, 8, 5, 2, 1, 9, 3]),
+        (1000, 8, 42, [413, 182, 552, 26, 338, 942, 855, 396]),
+        (5_292_000, 6, 0, [687535, 2308902, 619185, 2242570, 5093347, 4660180]),
+        (80_000, 5, 2**64 - 1, [43936, 37826, 13125, 68657, 57734]),
+    ],
+)
+def test_select_samples_known_answers(n, m, seed, expected):
+    assert select_samples(n, m, seed) == expected
+
+
+@pytest.mark.parametrize(
+    "digits, seed, expected",
+    [
+        ((2, 0, 6, 3, 1, 8), 5, ["alice", "find", "into", "most", "story", "tower"]),
+        (
+            (0, 1, 9, 4, 2, 3, 0, 7),
+            2**64 - 1,
+            ["watch", "emma", "throughout", "them", "to", "moscow", "during", "none"],
+        ),
+        (
+            (9, 9, 9, 9, 9, 9, 9, 9),
+            0,
+            ["eighteen", "violin", "following", "georgia", "bag", "draw", "before", "georgia"],
+        ),
+    ],
+)
+def test_generate_sentence_known_answers(default_lexicon, digits, seed, expected):
+    assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, list(digits), seed) == expected
+
+
+@pytest.mark.parametrize(
+    "n, index, digits",
+    [
+        (1, 0, [0, 0]),
+        (101, 100, [0, 9, 0, 1]),
+        (1000, 999, [3, 1, 0, 7]),
+        (80_000, 12345, [0, 4, 3, 1, 7, 6]),
+        (1_000_000, 206318, [2, 0, 6, 3, 1, 8]),
+        (5_292_000, 5_291_999, [2, 2, 9, 9, 2, 0, 0, 0]),
+    ],
+)
+def test_coordinate_digits_known_answers(n, index, digits):
+    g = geometry(n)
+    assert g.digits_for(index) == digits
+    assert g.index_from_digits(digits) == index
+
+
+def _shake(label: str, size: int) -> bytes:
+    return hashlib.shake_128(label.encode()).digest(size)
+
+
+@pytest.mark.parametrize(
+    "name, n, rate, channels, payload_len, seed, wav_sha256, text_sha256, sentences",
+    [
+        (
+            "small-mono", 1000, 8000, 1, 20, 1,
+            "9ee66eacfe2d7c99b1e7ee741dedf36b8cdb65b78dd1992325895fb393e9b8af",
+            "a750d207da827ed05fccfb35f572d3282c66a16f70d3baf54d601f1acd22f59c",
+            64,
+        ),
+        (
+            "stereo-6digit", 1_000_000, 44100, 2, 100, 2**64 - 1,
+            "011c6e98a137f52436b929fabcef1bca89b8d435c905e848dd910862c40cb4ef",
+            "3f75c9af64214bf539e7e346d5c1ae34fc86fb605b9ed36f203dffec22e847dc",
+            278,
+        ),
+        (
+            # 299 of the 300 samples carry a chunk.
+            "full", 300, 8000, 1, 108, 12345,
+            "86b806c6535152ff3413fee6efbdc03b0528b747253142abc065442e407baa0b",
+            "f31806a432667fe540b2bee3a17b946829f5f048c832bf0fc575e9ddafd77dfa",
+            299,
+        ),
+    ],
+)
+def test_frozen_cover_digests(
+    default_lexicon, name, n, rate, channels, payload_len, seed, wav_sha256, text_sha256, sentences
+):
+    samples = np.frombuffer(_shake(f"{name}/carrier", 2 * n), dtype="<u2").copy()
+    carrier = AudioClip(rate, channels, samples)
+    payload = _shake(f"{name}/payload", payload_len)
+    bundle = cover(carrier, payload, default_lexicon, seed)
+    text = "\n".join(" ".join(s) for s in bundle.sentences) + "\n"
+    assert len(bundle.sentences) == sentences
+    assert hashlib.sha256(write_wav(bundle.stego_audio)).hexdigest() == wav_sha256
+    assert hashlib.sha256(text.encode()).hexdigest() == text_sha256
+    assert uncover(bundle.stego_audio, bundle.sentences, default_lexicon) == payload

@@ -164,3 +164,16 @@ class TestDecode:
             decode_sentence(reference_lexicon, ["a", "zzzz"])
         assert err.value.position == 1
         assert err.value.word == "zzzz"
+
+    def test_unknown_word_after_mixed_case(self, reference_lexicon):
+        # the first unknown token is named, even when an earlier token
+        # only matches after case folding
+        with pytest.raises(UnknownWordError) as err:
+            decode_sentence(reference_lexicon, ["A", "book", "zzzz", "Qqqq"])
+        assert err.value.position == 2
+        assert err.value.word == "zzzz"
+
+    def test_any_iterable(self, reference_lexicon):
+        tokens = ["A", "BOOK", "from", "School"]
+        assert decode_sentence(reference_lexicon, iter(tokens)) == [2, 9, 0, 1]
+        assert decode_sentence(reference_lexicon, tuple(tokens)) == [2, 9, 0, 1]

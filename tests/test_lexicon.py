@@ -98,6 +98,23 @@ class TestLookup:
                 for word in reference_lexicon.words_for(digit, pos):
                     assert reference_lexicon.digit_of(word) == digit
 
+    def test_words_by_pos_matches_words_for(self, reference_lexicon):
+        table = reference_lexicon.words_by_pos
+        assert len(table) == len(PosClass)
+        for i, pos in enumerate(PosClass):
+            assert [table[i][digit] for digit in range(10)] == [
+                reference_lexicon.words_for(digit, pos) for digit in range(10)
+            ]
+
+    def test_digits_of_matches_digit_of(self, reference_lexicon):
+        tokens = ["harvard", "Texas", "FROM", "a", "book"]
+        assert reference_lexicon.digits_of(tokens) == [reference_lexicon.digit_of(t) for t in tokens]
+
+    def test_digits_of_names_first_unknown(self, reference_lexicon):
+        with pytest.raises(UnknownWordError) as err:
+            reference_lexicon.digits_of(["Texas", "zzzz", "yyyy"])
+        assert (err.value.word, err.value.position) == ("zzzz", 1)
+
 
 class TestSerialization:
     def test_round_trip(self, reference_lexicon):

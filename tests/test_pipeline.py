@@ -11,6 +11,8 @@ from duostego.errors import (
     ExtractionError,
     HeaderCorruptError,
     LengthMismatchError,
+    OutOfRangeError,
+    RepeatedPositionError,
     UnknownWordError,
 )
 from duostego.pipeline import (
@@ -124,6 +126,11 @@ class TestCover:
             digits = decode_sentence(default_lexicon, sentence)
             assert geom.index_from_digits(digits) == expected_index
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, default_lexicon, seed):
+        with pytest.raises(OutOfRangeError):
+            cover(random_carrier(400, seed=7), b"secret", default_lexicon, seed=seed)
+
     def test_carrier_metadata_preserved(self, default_lexicon):
         carrier = AudioClip(
             22050, 2, np.arange(600, dtype=np.uint16), ((b"LIST", b"INFO"),)
@@ -208,6 +215,18 @@ class TestUncover:
         bundle = cover(carrier, b"hello world", default_lexicon, seed=24)
         with pytest.raises(HeaderCorruptError):
             uncover(bundle.stego_audio, bundle.sentences[:-1], default_lexicon)
+
+    def test_duplicated_sentence_detected(self, default_lexicon):
+        # a duplicated line plus a dropped last line keeps the sentence
+        # count, so the length header alone cannot catch it
+        carrier = random_carrier(1000, seed=23)
+        bundle = cover(carrier, b"hello world", default_lexicon, seed=24)
+        damaged = list(bundle.sentences)
+        damaged.insert(10, damaged[10])
+        damaged.pop()
+        with pytest.raises(RepeatedPositionError) as err:
+            uncover(bundle.stego_audio, damaged, default_lexicon)
+        assert (err.value.first, err.value.second) == (10, 11)
 
     def test_too_few_sentences_for_header(self, default_lexicon):
         carrier = random_carrier(1000, seed=25)

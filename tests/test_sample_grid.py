@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 from duostego.errors import (
     CapacityExceededError,
     CoordinateOutOfRangeError,
+    ExtractionError,
     OutOfRangeError,
+    RepeatedPositionError,
     ZeroSamplesError,
 )
 from duostego.sample_grid import (
@@ -89,6 +91,24 @@ class TestCoordinates:
         assert len(digits) == 2 * g.digit_width
         assert g.index_from_digits(digits) == i
 
+    @given(st.integers(1, 10**8), st.data())
+    def test_digits_match_string_oracle(self, n, data):
+        g = geometry(n)
+        i = data.draw(st.integers(0, n - 1))
+        x, y = divmod(i, g.width)
+        d = g.digit_width
+        assert g.digits_for(i) == [int(c) for c in f"{x:0{d}d}{y:0{d}d}"]
+
+    def test_digit_table_is_per_coordinate(self):
+        # one entry per coordinate value, not per sample
+        g = geometry(5_292_000)
+        g.digits_for(0)
+        assert len(g._coord_digits) == max(g.width, g.height) == 2301
+
+    def test_digits_for_out_of_range(self):
+        with pytest.raises(OutOfRangeError):
+            geometry(1000).digits_for(1000)
+
     def test_digits_off_grid(self):
         g = geometry(1000)
         with pytest.raises(CoordinateOutOfRangeError):
@@ -126,6 +146,16 @@ class TestSelection:
     def test_capacity_exceeded(self):
         with pytest.raises(CapacityExceededError):
             select_samples(5, 6, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(OutOfRangeError):
+            select_samples(100, 5, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        picked = select_samples(100, 5, seed)
+        assert len(set(picked)) == 5
 
 
 class TestEmbedExtract:
@@ -174,6 +204,20 @@ class TestVectorized:
             expected[i] = embed_chunk(int(expected[i]), int(c))
         assert np.array_equal(out, expected)
         assert extract_chunks(out, indices).tolist() == chunks.tolist()
+
+    def test_repeated_position_rejected(self):
+        samples = np.arange(100, dtype=np.uint16)
+        with pytest.raises(RepeatedPositionError) as err:
+            extract_chunks(samples, np.array([5, 17, 3, 40, 17, 5], dtype=np.int64))
+        # the first sentence that repeats an earlier one, and that earlier one
+        assert (err.value.first, err.value.second, err.value.index) == (1, 4, 17)
+        assert "sentences 1 and 4" in str(err.value)
+        assert isinstance(err.value, ExtractionError)
+
+    def test_distinct_positions_accepted_in_any_order(self):
+        samples = np.arange(100, dtype=np.uint16)
+        indices = np.array([99, 0, 42, 7], dtype=np.int64)
+        assert extract_chunks(samples, indices).tolist() == [99 & 7, 0, 42 & 7, 7]
 
     def test_untouched_positions_identical(self):
         rng = np.random.default_rng(12)
