@@ -17,17 +17,10 @@ from .pipeline import (
     capacity_bytes,
     cover,
     distortion_report,
-    sentence_count_for,
     uncover,
 )
-from .sample_grid import (
-    GridGeometry,
-    embed_chunk,
-    extract_chunk,
-    geometry,
-    select_samples,
-)
-from .wav_codec import AudioClip, parse_wav, sample_count, write_wav
+from .sample_grid import GridGeometry, geometry, select_samples
+from .wav_codec import AudioClip, parse_wav, write_wav
 
 __version__ = "0.1.0"
 
@@ -45,16 +38,12 @@ __all__ = [
     "cover",
     "decode_sentence",
     "distortion_report",
-    "embed_chunk",
     "errors",
-    "extract_chunk",
     "geometry",
     "load_default_lexicon",
     "load_lexicon",
     "parse_wav",
-    "sample_count",
     "select_samples",
-    "sentence_count_for",
     "uncover",
     "write_wav",
     "__version__",

@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     except WavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WAV
-    except (DuostegoError, OSError) as exc:
+    except (DuostegoError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,15 +3,11 @@
 Fourteen production rules over five nonterminals generate every
 sentence shape this package emits; the terminals are the six
 part-of-speech classes, and the lexicon supplies the actual words.
-Three views of the grammar live here:
-
-* skeletons_of_length() enumerates every derivable part-of-speech
-  sequence of an exact length (length-indexed bottom-up construction,
-  so the recursive rules terminate);
-* recognize() is a CYK membership check over an internally binarized
-  rule set, deliberately independent of the enumerator;
-* generate_sentence() realizes a digit sequence as words, one word per
-  digit, picking skeleton and words from a seeded stream.
+skeletons_of_length() enumerates every derivable part-of-speech
+sequence of an exact length (length-indexed bottom-up construction, so
+the recursive rules terminate); generate_sentence() realizes a digit
+sequence as words, one word per digit, picking skeleton and words from
+a seeded stream.
 
 Decoding is the odd one out: decode_sentence() maps words to digits
 through the lexicon alone and never consults the grammar, so text that
@@ -64,7 +60,6 @@ class Grammar:
         self._derivable_cache: dict[tuple, frozenset] = {}
         self._skeletons_cache: dict[int, tuple] = {}
         self._skeleton_keys_cache: dict[int, tuple] = {}
-        self._unit_closure, self._binary_rules = self._binarize()
 
     # -- exact-length enumeration ---------------------------------------
 
@@ -125,58 +120,6 @@ class Grammar:
                     min_len[lhs] = candidate
                     changed = True
         return min_len
-
-    # -- recognition ------------------------------------------------------
-
-    def recognize(self, skeleton: Sequence[PosClass]) -> bool:
-        """True iff the part-of-speech sequence derives from S (CYK)."""
-        n = len(skeleton)
-        if n == 0:
-            return False
-        # chart[(i, j)] = symbols deriving skeleton[i:j]
-        chart: dict[tuple[int, int], set] = {}
-        for i, pos in enumerate(skeleton):
-            chart[(i, i + 1)] = self._close({pos})
-        for span in range(2, n + 1):
-            for i in range(n - span + 1):
-                j = i + span
-                cell = set()
-                for k in range(i + 1, j):
-                    left, right = chart[(i, k)], chart[(k, j)]
-                    for (a, b), lhss in self._binary_rules.items():
-                        if a in left and b in right:
-                            cell.update(lhss)
-                chart[(i, j)] = self._close(cell)
-        return START in chart[(0, n)]
-
-    def _close(self, symbols: set) -> set:
-        out = set(symbols)
-        frontier = list(symbols)
-        while frontier:
-            sym = frontier.pop()
-            for lhs in self._unit_closure.get(sym, ()):
-                if lhs not in out:
-                    out.add(lhs)
-                    frontier.append(lhs)
-        return out
-
-    def _binarize(self):
-        """Unit map and binary rule table for CYK; >2-symbol rules get fresh heads."""
-        units: dict = {}
-        binary: dict[tuple, set] = {}
-        counter = 0
-        for lhs, rhs in PRODUCTIONS:
-            if len(rhs) == 1:
-                units.setdefault(rhs[0], set()).add(lhs)
-                continue
-            symbols = list(rhs)
-            while len(symbols) > 2:
-                counter += 1
-                fresh = f"_BIN{counter}"
-                binary.setdefault((symbols[0], symbols[1]), set()).add(fresh)
-                symbols[:2] = [fresh]
-            binary.setdefault(tuple(symbols), set()).add(lhs)
-        return units, binary
 
     # -- generation ---------------------------------------------------------
 

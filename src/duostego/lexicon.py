@@ -27,6 +27,7 @@ from .errors import (
 )
 
 DIGITS = tuple(range(10))
+_DIGIT_FIELDS = frozenset(map(str, DIGITS))  # ASCII only: str.isdigit() also takes '²'
 
 
 class PosClass(enum.Enum):
@@ -77,13 +78,6 @@ class Lexicon:
         self._cells = table
         self._digit_by_word = digit_by_word
 
-    def digit_of(self, word: str) -> int:
-        """Category digit of a token, case-insensitive."""
-        try:
-            return self._digit_by_word[word.lower()]
-        except KeyError:
-            raise UnknownWordError(word) from None
-
     def digits_of(self, tokens: Sequence[str]) -> list[int]:
         """Category digit of every token, case-insensitive.
 
@@ -100,13 +94,9 @@ class Lexicon:
                 raise UnknownWordError(tokens[position], position)
         return [table[word] for word in words]
 
-    def words_for(self, digit: int, pos: PosClass) -> tuple[str, ...]:
-        """Sorted words of one (digit, POS) cell; non-empty by invariant."""
-        return self._cells[(digit, pos)]
-
     @cached_property
     def words_by_pos(self) -> tuple[dict[int, tuple[str, ...]], ...]:
-        """words_for(digit, pos) as words_by_pos[i][digit], for the i-th PosClass.
+        """Sorted words of each (digit, POS) cell, as words_by_pos[i][digit] for the i-th PosClass.
 
         The lookup hashes no PosClass member, which costs a Python-level
         call per hash. Built on first use, so loading a lexicon does no
@@ -148,7 +138,7 @@ def load_lexicon(text: str) -> Lexicon:
         if len(fields) != 3:
             raise LexiconParseError(f"line {lineno}: expected digit|pos|word, got {raw!r}")
         digit_field, pos_field, word = (f.strip() for f in fields)
-        if len(digit_field) != 1 or not digit_field.isdigit():
+        if digit_field not in _DIGIT_FIELDS:
             raise LexiconParseError(f"line {lineno}: category must be a single digit 0-9, got {digit_field!r}")
         try:
             pos = PosClass(pos_field.lower())

@@ -64,11 +64,6 @@ def capacity_bytes(clip: AudioClip) -> int:
     return max(0, (capacity_bits(clip) - HEADER_BITS) // 8)
 
 
-def sentence_count_for(payload_length: int) -> int:
-    """Sentences (= chunks = selected samples) needed for a payload of given byte length."""
-    return math.ceil((8 * payload_length + HEADER_BITS) / 3)
-
-
 def cover(
     carrier: AudioClip,
     payload: bytes,

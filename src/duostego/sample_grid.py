@@ -125,27 +125,15 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
     return out
 
 
-def embed_chunk(sample: int, chunk: int) -> int:
-    """Replace the three low bits of a 16-bit sample with `chunk`."""
-    if not 0 <= chunk <= CHUNK_MASK:
-        raise ValueError(f"chunk {chunk} is not a 3-bit value")
-    return (sample & KEEP_MASK) | chunk
-
-
-def extract_chunk(sample: int) -> int:
-    """The three low bits of a 16-bit sample."""
-    return sample & CHUNK_MASK
-
-
 def embed_chunks(samples: np.ndarray, indices: np.ndarray, chunks: np.ndarray) -> np.ndarray:
-    """Vectorized embed_chunk over selected positions; returns a new array."""
+    """Replace the three low bits of the selected samples with `chunks`; returns a new array."""
     out = samples.copy()
     out[indices] = (out[indices] & KEEP_MASK) | chunks
     return out
 
 
 def extract_chunks(samples: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorized extract_chunk over selected positions.
+    """The three low bits of the selected samples, in `indices` order.
 
     Covering never selects a sample twice, so a repeated position means
     damaged location text; it raises RepeatedPositionError naming the

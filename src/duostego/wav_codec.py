@@ -170,7 +170,3 @@ def write_wav(clip: AudioClip) -> bytes:
             out += b"\x00"
     return b"RIFF" + _U32.pack(4 + len(out)) + b"WAVE" + bytes(out)
 
-
-def sample_count(clip: AudioClip) -> int:
-    """Number of 16-bit sample slots in the clip."""
-    return clip.sample_count

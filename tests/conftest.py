@@ -88,6 +88,11 @@ def make_lexicon_text(extra=None, cell_size=2) -> str:
     return "\n".join(lines) + "\n"
 
 
+def words_for(lexicon, digit: int, pos: PosClass) -> tuple[str, ...]:
+    """Sorted words of one (digit, POS) cell, read through Lexicon.words_by_pos."""
+    return lexicon.words_by_pos[list(PosClass).index(pos)][digit]
+
+
 # Reference placements shared by several known-answer tests.
 REFERENCE_PLACEMENTS = (
     (0, PosClass.DET, "this"), (0, PosClass.DET, "that"),

@@ -1,0 +1,107 @@
+"""Reference implementations that tests compare the package against.
+
+* oracle_skeletons(): breadth-first expansion of sentential forms under
+  a rule set written from scratch (string symbols, no shared code with
+  the enumerator in duostego.grammar);
+* recognize(): a CYK membership check over a binarized copy of
+  grammar.PRODUCTIONS, independent of the enumerator;
+* embed_oracle(): the 3-LSB embedding rule as a textual splice of bit
+  strings.
+"""
+
+from collections import deque
+from typing import Sequence
+
+from duostego.grammar import PRODUCTIONS, START
+from duostego.lexicon import PosClass
+
+ORACLE_RULES = {
+    "S": [["NP", "VP"], ["VP"]],
+    "NP": [["pronoun"], ["propernoun"], ["det", "Nominal"]],
+    "Nominal": [["noun"], ["Nominal", "noun"], ["Nominal", "PP"]],
+    "VP": [["verb"], ["verb", "NP"], ["verb", "NP", "PP"], ["verb", "PP"], ["VP", "PP"]],
+    "PP": [["preposition", "NP"]],
+}
+
+
+def oracle_skeletons(length):
+    """All length-`length` terminal sequences derivable from S, by BFS."""
+    done = set()
+    seen = {("S",)}
+    queue = deque([("S",)])
+    while queue:
+        form = queue.popleft()
+        if len(form) > length:
+            continue  # every symbol derives at least one terminal
+        nonterminal = next((i for i, s in enumerate(form) if s in ORACLE_RULES), None)
+        if nonterminal is None:
+            if len(form) == length:
+                done.add(tuple(PosClass(s) for s in form))
+            continue
+        for rhs in ORACLE_RULES[form[nonterminal]]:
+            successor = form[:nonterminal] + tuple(rhs) + form[nonterminal + 1 :]
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return done
+
+
+def _binarize():
+    """Unit map and binary rule table for CYK; >2-symbol rules get fresh heads."""
+    units: dict = {}
+    binary: dict[tuple, set] = {}
+    counter = 0
+    for lhs, rhs in PRODUCTIONS:
+        if len(rhs) == 1:
+            units.setdefault(rhs[0], set()).add(lhs)
+            continue
+        symbols = list(rhs)
+        while len(symbols) > 2:
+            counter += 1
+            fresh = f"_BIN{counter}"
+            binary.setdefault((symbols[0], symbols[1]), set()).add(fresh)
+            symbols[:2] = [fresh]
+        binary.setdefault(tuple(symbols), set()).add(lhs)
+    return units, binary
+
+
+_UNIT_CLOSURE, _BINARY_RULES = _binarize()
+
+
+def _close(symbols: set) -> set:
+    out = set(symbols)
+    frontier = list(symbols)
+    while frontier:
+        sym = frontier.pop()
+        for lhs in _UNIT_CLOSURE.get(sym, ()):
+            if lhs not in out:
+                out.add(lhs)
+                frontier.append(lhs)
+    return out
+
+
+def recognize(skeleton: Sequence[PosClass]) -> bool:
+    """True iff the part-of-speech sequence derives from S (CYK)."""
+    n = len(skeleton)
+    if n == 0:
+        return False
+    # chart[(i, j)] = symbols deriving skeleton[i:j]
+    chart: dict[tuple[int, int], set] = {}
+    for i, pos in enumerate(skeleton):
+        chart[(i, i + 1)] = _close({pos})
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            j = i + span
+            cell = set()
+            for k in range(i + 1, j):
+                left, right = chart[(i, k)], chart[(k, j)]
+                for (a, b), lhss in _BINARY_RULES.items():
+                    if a in left and b in right:
+                        cell.update(lhss)
+            chart[(i, j)] = _close(cell)
+    return START in chart[(0, n)]
+
+
+def embed_oracle(sample: int, chunk: int) -> int:
+    """Independent bit-twiddling oracle: splice bit strings textually."""
+    return int(format(sample, "016b")[:13] + format(chunk, "03b"), 2)

@@ -13,8 +13,8 @@ from duostego.errors import DuplicateWordError
 from duostego.grammar import Grammar, decode_sentence
 from duostego.lexicon import PosClass, load_lexicon
 from duostego.payload_codec import chunk
-from duostego.pipeline import capacity_bits, capacity_bytes, cover, sentence_count_for, uncover
-from duostego.sample_grid import embed_chunk, select_samples
+from duostego.pipeline import capacity_bits, capacity_bytes, cover, uncover
+from duostego.sample_grid import embed_chunks, select_samples
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
 from conftest import (
@@ -26,7 +26,7 @@ from conftest import (
     raw_wav_bytes,
     ref_wav_bytes,
 )
-from test_grammar import oracle_skeletons
+from oracles import oracle_skeletons, recognize
 
 
 def report(number, text):
@@ -85,20 +85,21 @@ KNOWN_EMBEDDINGS = [
 
 
 def test_criterion_3_embedding_rule_vector():
-    checked = 0
-    for sample_str, chunk_str in KNOWN_EMBEDDINGS:
-        sample_str = sample_str.replace(" ", "")
-        if len(sample_str) != 16:
-            continue
-        sample = int(sample_str, 2)
-        value = int(chunk_str.ljust(3, "0"), 2)
-        embedded = embed_chunk(sample, value)
-        # independent bit-twiddling oracle: textual splice of the bit strings
-        assert format(embedded, "016b") == sample_str[:13] + format(value, "03b")
-        assert embedded >> 3 == sample >> 3
-        assert embedded & 0b111 == value
-        checked += 1
+    vectors = [
+        (sample_str.replace(" ", ""), int(chunk_str.ljust(3, "0"), 2))
+        for sample_str, chunk_str in KNOWN_EMBEDDINGS
+        if len(sample_str.replace(" ", "")) == 16
+    ]
+    checked = len(vectors)
     assert checked == 17
+    samples = np.array([int(s, 2) for s, _ in vectors], dtype=np.uint16)
+    values = np.array([v for _, v in vectors], dtype=np.uint8)
+    embedded = embed_chunks(samples, np.arange(checked), values)
+    for (sample_str, value), got in zip(vectors, embedded.tolist()):
+        # independent bit-twiddling oracle: textual splice of the bit strings
+        assert format(got, "016b") == sample_str[:13] + format(value, "03b")
+    assert np.array_equal(embedded >> 3, samples >> 3)
+    assert np.array_equal(embedded & 0b111, values)
     report(3, f"embedding keeps the thirteen high bits on all {checked} known-answer samples")
 
 
@@ -114,17 +115,17 @@ def test_criterion_5_grammar_oracle_equivalence():
         enumerated = set(grammar.skeletons_of_length(length))
         assert enumerated == oracle_skeletons(length), f"length {length}"
         for skeleton in enumerated:
-            assert grammar.recognize(skeleton)
+            assert recognize(skeleton)
     # recognizer also rejects exactly the non-members
     rng = np.random.default_rng(2024)
     classes = list(PosClass)
     for _ in range(2000):
         length = int(rng.integers(1, 9))
         skeleton = tuple(classes[i] for i in rng.integers(0, len(classes), size=length))
-        assert grammar.recognize(skeleton) == (
+        assert recognize(skeleton) == (
             skeleton in set(grammar.skeletons_of_length(length))
         )
-    report(5, "enumeration matches the brute-force oracle for lengths 1-8")
+    report(5, "enumeration matches the BFS oracle for lengths 1-8; the CYK oracle agrees")
 
 
 def test_criterion_6_randomized_round_trip_suite(default_lexicon):
@@ -152,7 +153,7 @@ def test_criterion_6_randomized_round_trip_suite(default_lexicon):
             bundle.stego_audio.samples.astype(np.int64) - carrier.samples.astype(np.int64)
         )
         assert delta.max() <= 7
-        selected = select_samples(n, sentence_count_for(length), seed)
+        selected = select_samples(n, math.ceil((8 * length + 32) / 3), seed)
         mask = np.ones(n, dtype=bool)
         mask[selected] = False
         assert np.array_equal(bundle.stego_audio.samples[mask], carrier.samples[mask])

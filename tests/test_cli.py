@@ -178,3 +178,27 @@ class TestExitCodes:
     def test_missing_file_is_1(self, tmp_path, capsys):
         assert main(["capacity", str(tmp_path / "absent.wav")]) == 1
         capsys.readouterr()
+
+    def test_non_utf8_text_is_1(self, tmp_path, carrier_path, capsys):
+        _, stego, text, _ = run_cover(tmp_path, carrier_path)
+        text.write_bytes(b"\xff\xfe not utf-8\n")
+        code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
+        assert code == 1
+        assert "utf-8" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
+    def test_non_utf8_lexicon_is_1(self, tmp_path, carrier_path, capsys):
+        lex_path = tmp_path / "lex.txt"
+        lex_path.write_bytes(make_lexicon_text().encode() + b"0|noun|caf\xe9\n")  # Latin-1
+        payload = tmp_path / "p.bin"
+        payload.write_bytes(b"x")
+        code = main(
+            [
+                "cover", str(carrier_path), str(payload),
+                "-o", str(tmp_path / "s.wav"), "-t", str(tmp_path / "t.txt"),
+                "--lexicon", str(lex_path),
+            ]
+        )
+        assert code == 1
+        assert "utf-8" in capsys.readouterr().err
+        assert not (tmp_path / "s.wav").exists()

@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,43 +5,13 @@ from duostego.errors import UnknownWordError
 from duostego.grammar import Grammar, decode_sentence
 from duostego.lexicon import PosClass, load_default_lexicon
 
+from conftest import words_for
+from oracles import oracle_skeletons, recognize
+
 P = PosClass
 
 # hypothesis-driven tests cannot take fixtures; share one loaded lexicon
 _SESSION_LEXICON = load_default_lexicon()
-
-# Independent brute-force oracle: breadth-first expansion of sentential
-# forms under the same rule set, written from scratch (string symbols,
-# no shared code with the module under test).
-ORACLE_RULES = {
-    "S": [["NP", "VP"], ["VP"]],
-    "NP": [["pronoun"], ["propernoun"], ["det", "Nominal"]],
-    "Nominal": [["noun"], ["Nominal", "noun"], ["Nominal", "PP"]],
-    "VP": [["verb"], ["verb", "NP"], ["verb", "NP", "PP"], ["verb", "PP"], ["VP", "PP"]],
-    "PP": [["preposition", "NP"]],
-}
-
-
-def oracle_skeletons(length):
-    """All length-`length` terminal sequences derivable from S, by BFS."""
-    done = set()
-    seen = {("S",)}
-    queue = deque([("S",)])
-    while queue:
-        form = queue.popleft()
-        if len(form) > length:
-            continue  # every symbol derives at least one terminal
-        nonterminal = next((i for i, s in enumerate(form) if s in ORACLE_RULES), None)
-        if nonterminal is None:
-            if len(form) == length:
-                done.add(tuple(PosClass(s) for s in form))
-            continue
-        for rhs in ORACLE_RULES[form[nonterminal]]:
-            successor = form[:nonterminal] + tuple(rhs) + form[nonterminal + 1 :]
-            if successor not in seen:
-                seen.add(successor)
-                queue.append(successor)
-    return done
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +41,7 @@ class TestSkeletonEnumeration:
     def test_every_skeleton_recognized(self, grammar):
         for length in range(1, 7):
             for skeleton in grammar.skeletons_of_length(length):
-                assert grammar.recognize(skeleton)
+                assert recognize(skeleton)
 
     def test_zero_length_rejected(self, grammar):
         with pytest.raises(ValueError):
@@ -81,17 +49,17 @@ class TestSkeletonEnumeration:
 
 
 class TestRecognize:
-    def test_lone_verb(self, grammar):
-        assert grammar.recognize((P.VERB,))
+    def test_lone_verb(self):
+        assert recognize((P.VERB,))
 
-    def test_bare_noun_phrase_is_not_a_sentence(self, grammar):
-        assert not grammar.recognize((P.DET, P.NOUN, P.PREPOSITION, P.NOUN))
+    def test_bare_noun_phrase_is_not_a_sentence(self):
+        assert not recognize((P.DET, P.NOUN, P.PREPOSITION, P.NOUN))
 
-    def test_subject_verb_prepositional_phrase(self, grammar):
-        assert grammar.recognize((P.DET, P.NOUN, P.VERB, P.PREPOSITION, P.DET, P.NOUN))
+    def test_subject_verb_prepositional_phrase(self):
+        assert recognize((P.DET, P.NOUN, P.VERB, P.PREPOSITION, P.DET, P.NOUN))
 
-    def test_empty(self, grammar):
-        assert not grammar.recognize(())
+    def test_empty(self):
+        assert not recognize(())
 
     @given(st.lists(st.sampled_from(list(PosClass)), min_size=1, max_size=6))
     @settings(max_examples=300)
@@ -99,7 +67,7 @@ class TestRecognize:
         grammar = Grammar()
         skeleton = tuple(sequence)
         expected = skeleton in set(grammar.skeletons_of_length(len(skeleton)))
-        assert grammar.recognize(skeleton) == expected
+        assert recognize(skeleton) == expected
 
 
 class TestGenerate:
@@ -113,14 +81,14 @@ class TestGenerate:
         candidates = [
             sk
             for sk in skeletons
-            if all(t in reference_lexicon.words_for(d, p) for t, d, p in zip(tokens, digits, sk))
+            if all(t in words_for(reference_lexicon, d, p) for t, d, p in zip(tokens, digits, sk))
         ]
         assert candidates
 
     def test_single_digit_yields_a_verb(self, grammar, default_lexicon):
         tokens = grammar.generate_sentence(default_lexicon, [5], seed=3)
         assert len(tokens) == 1
-        assert tokens[0] in default_lexicon.words_for(5, P.VERB)
+        assert tokens[0] in words_for(default_lexicon, 5, P.VERB)
 
     def test_deterministic(self, grammar, default_lexicon):
         first = grammar.generate_sentence(default_lexicon, [1, 2, 3, 4], seed=99)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from duostego.errors import (
+    DuostegoError,
     DuplicateWordError,
     IncompleteCategoryError,
     LexiconParseError,
@@ -8,15 +10,12 @@ from duostego.errors import (
 )
 from duostego.lexicon import PosClass, load_lexicon
 
-from conftest import make_lexicon_text
+from conftest import REFERENCE_PLACEMENTS, make_lexicon_text, words_for
 
 
 class TestLoading:
     def test_reference_placements_resolve(self, reference_lexicon):
-        assert reference_lexicon.digit_of("a") == 2
-        assert reference_lexicon.digit_of("book") == 9
-        assert reference_lexicon.digit_of("from") == 0
-        assert reference_lexicon.digit_of("school") == 1
+        assert reference_lexicon.digits_of(["a", "book", "from", "school"]) == [2, 9, 0, 1]
 
     def test_duplicate_across_categories_rejected(self):
         text = make_lexicon_text(
@@ -52,6 +51,9 @@ class TestLoading:
             "0|noun|door|extra",  # too many fields
             "x|noun|door",  # bad digit
             "10|noun|door",  # two digits
+            "\u00b2|noun|door",  # superscript two: str.isdigit() but not int()
+            "\u0663|noun|door",  # Arabic-Indic three: int() reads it as 3
+            "\uff13|noun|door",  # fullwidth three: int() reads it as 3
             "0|adverb|door",  # unknown POS
             "0|noun|",  # empty word
             "0|noun|front door",  # inner whitespace
@@ -66,49 +68,57 @@ class TestLoading:
             extra=[(4, PosClass.NOUN, "dance"), (4, PosClass.VERB, "dance")]
         )
         lex = load_lexicon(text)
-        assert lex.digit_of("dance") == 4
-        assert "dance" in lex.words_for(4, PosClass.NOUN)
-        assert "dance" in lex.words_for(4, PosClass.VERB)
+        assert lex.digits_of(["dance"]) == [4]
+        assert "dance" in words_for(lex, 4, PosClass.NOUN)
+        assert "dance" in words_for(lex, 4, PosClass.VERB)
 
 
 class TestLookup:
     def test_case_insensitive(self, reference_lexicon):
         for spelling in ("harvard", "Harvard", "HARVARD"):
-            assert reference_lexicon.digit_of(spelling) == 9
+            assert reference_lexicon.digits_of([spelling]) == [9]
 
     def test_unknown_word(self, reference_lexicon):
         with pytest.raises(UnknownWordError):
-            reference_lexicon.digit_of("zzzz")
+            reference_lexicon.digits_of(["zzzz"])
 
     def test_contains(self, reference_lexicon):
         assert "Texas" in reference_lexicon
         assert "zzzz" not in reference_lexicon
 
     def test_words_for_sorted_unique_nonempty(self, reference_lexicon):
-        words = reference_lexicon.words_for(0, PosClass.PREPOSITION)
+        words = words_for(reference_lexicon, 0, PosClass.PREPOSITION)
         assert "from" in words
         assert list(words) == sorted(set(words))
         for digit in range(10):
             for pos in PosClass:
-                assert len(reference_lexicon.words_for(digit, pos)) >= 1
+                assert len(words_for(reference_lexicon, digit, pos)) >= 1
 
     def test_forward_reverse_consistency(self, reference_lexicon):
         for digit in range(10):
             for pos in PosClass:
-                for word in reference_lexicon.words_for(digit, pos):
-                    assert reference_lexicon.digit_of(word) == digit
+                words = words_for(reference_lexicon, digit, pos)
+                assert reference_lexicon.digits_of(words) == [digit] * len(words)
 
-    def test_words_by_pos_matches_words_for(self, reference_lexicon):
+    def test_words_by_pos_matches_lexicon_text(self, reference_lexicon):
+        # the cells as the source text lays them out, parsed independently
+        expected = {}
+        for line in make_lexicon_text(extra=REFERENCE_PLACEMENTS).splitlines():
+            digit, pos, word = line.split("|")
+            expected.setdefault((int(digit), PosClass(pos)), set()).add(word)
         table = reference_lexicon.words_by_pos
         assert len(table) == len(PosClass)
         for i, pos in enumerate(PosClass):
             assert [table[i][digit] for digit in range(10)] == [
-                reference_lexicon.words_for(digit, pos) for digit in range(10)
+                tuple(sorted(expected[(digit, pos)])) for digit in range(10)
             ]
 
-    def test_digits_of_matches_digit_of(self, reference_lexicon):
+    def test_digits_of_matches_one_token_lookups(self, reference_lexicon):
+        # one bulk lookup agrees with token-at-a-time lookups, also when a
+        # mixed-case token sends the bulk lookup to its case-folding path
         tokens = ["harvard", "Texas", "FROM", "a", "book"]
-        assert reference_lexicon.digits_of(tokens) == [reference_lexicon.digit_of(t) for t in tokens]
+        one_by_one = [reference_lexicon.digits_of([t])[0] for t in tokens]
+        assert reference_lexicon.digits_of(tokens) == one_by_one == [9, 1, 0, 2, 9]
 
     def test_digits_of_names_first_unknown(self, reference_lexicon):
         with pytest.raises(UnknownWordError) as err:
@@ -139,12 +149,33 @@ class TestBundledLexicon:
     def test_every_cell_nonempty(self, default_lexicon):
         for digit in range(10):
             for pos in PosClass:
-                assert default_lexicon.words_for(digit, pos)
+                assert words_for(default_lexicon, digit, pos)
 
     def test_contains_reference_placements(self, default_lexicon):
-        assert default_lexicon.digit_of("a") == 2
-        assert default_lexicon.digit_of("book") == 9
-        assert default_lexicon.digit_of("from") == 0
-        assert default_lexicon.digit_of("school") == 1
-        assert default_lexicon.digit_of("Harvard") == 9
-        assert "this" in default_lexicon.words_for(0, PosClass.DET)
+        assert default_lexicon.digits_of(["a", "book", "from", "school", "Harvard"]) == [2, 9, 0, 1, 9]
+        assert "this" in words_for(default_lexicon, 0, PosClass.DET)
+
+
+FUZZ_LINES = make_lexicon_text(cell_size=1).splitlines()
+
+field_mutations = st.lists(
+    st.tuples(st.integers(0, len(FUZZ_LINES) - 1), st.integers(0, 2), st.text(max_size=4)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestFuzz:
+    @given(field_mutations)
+    @example([(0, 0, "\u00b2")])  # superscript two passes str.isdigit() but not int()
+    @settings(max_examples=200)
+    def test_mutated_lines_fail_typed(self, mutations):
+        lines = list(FUZZ_LINES)
+        for line, field, text in mutations:
+            fields = lines[line].split("|")
+            fields[field] = text
+            lines[line] = "|".join(fields)
+        try:
+            load_lexicon("\n".join(lines))
+        except DuostegoError:
+            pass

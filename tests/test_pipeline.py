@@ -20,7 +20,6 @@ from duostego.pipeline import (
     capacity_bytes,
     cover,
     distortion_report,
-    sentence_count_for,
     uncover,
 )
 from duostego.sample_grid import select_samples
@@ -84,7 +83,7 @@ class TestCover:
         carrier = random_carrier(5000, seed=5)
         payload = bytes(range(64))
         bundle = cover(carrier, payload, default_lexicon, seed=77)
-        chunks = sentence_count_for(len(payload))
+        chunks = math.ceil((8 * len(payload) + 32) / 3)
         selected = select_samples(5000, chunks, seed=77)
         mask = np.ones(5000, dtype=bool)
         mask[selected] = False
@@ -154,7 +153,7 @@ class TestUncover:
         carrier = random_carrier(2000, seed=11)
         payload = b"attack at dawn"
         bundle = cover(carrier, payload, default_lexicon, seed=13)
-        chunks = sentence_count_for(len(payload))
+        chunks = math.ceil((8 * len(payload) + 32) / 3)
         victim = select_samples(2000, chunks, seed=13)[chunks // 2]
         damaged = bundle.stego_audio.samples.copy()
         damaged[victim] ^= 0b001

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duostego.errors import (
     CapacityExceededError,
@@ -10,19 +11,9 @@ from duostego.errors import (
     RepeatedPositionError,
     ZeroSamplesError,
 )
-from duostego.sample_grid import (
-    embed_chunk,
-    embed_chunks,
-    extract_chunk,
-    extract_chunks,
-    geometry,
-    select_samples,
-)
+from duostego.sample_grid import embed_chunks, extract_chunks, geometry, select_samples
 
-
-def embed_oracle(sample: int, chunk: int) -> int:
-    """Independent bit-twiddling oracle: splice bit strings textually."""
-    return int(format(sample, "016b")[:13] + format(chunk, "03b"), 2)
+from oracles import embed_oracle
 
 
 class TestGeometry:
@@ -158,38 +149,65 @@ class TestSelection:
         assert len(set(picked)) == 5
 
 
+def all_selected(*samples):
+    """Sample array with every position selected, in order."""
+    return np.array(samples, dtype=np.uint16), np.arange(len(samples))
+
+
+def chunk_values(n):
+    return arrays(np.uint8, n, elements=st.integers(0, 7))
+
+
+# A carrier of 1-64 samples, all selected in a drawn order.
+carriers = st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=64).flatmap(
+    lambda samples: st.tuples(
+        st.just(np.array(samples, dtype=np.uint16)),
+        st.permutations(range(len(samples))).map(np.array),
+    )
+)
+
+
 class TestEmbedExtract:
     def test_known_sample_value(self):
         # 0b0010111100111111 with chunk 110 keeps the upper thirteen bits
-        assert embed_chunk(0b0010111100111111, 0b110) == 0b0010111100111110
-        assert extract_chunk(0b0010111100111110) == 0b110
+        samples, indices = all_selected(0b0010111100111111)
+        embedded = embed_chunks(samples, indices, np.array([0b110], dtype=np.uint8))
+        assert embedded.tolist() == [0b0010111100111110]
+        assert extract_chunks(embedded, indices).tolist() == [0b110]
 
     def test_zero_identity(self):
-        assert embed_chunk(0x0000, 0b000) == 0x0000
+        samples, indices = all_selected(0x0000)
+        assert embed_chunks(samples, indices, np.zeros(1, dtype=np.uint8)).tolist() == [0x0000]
 
     def test_all_low_bits(self):
-        assert extract_chunk(0b1010101010101111) == 7
+        assert extract_chunks(*all_selected(0b1010101010101111)).tolist() == [7]
 
-    def test_chunk_range_checked(self):
-        with pytest.raises(ValueError):
-            embed_chunk(0, 8)
-        with pytest.raises(ValueError):
-            embed_chunk(0, -1)
+    @given(carriers, st.data())
+    def test_matches_bit_twiddling_oracle(self, carrier, data):
+        samples, indices = carrier
+        chunks = data.draw(chunk_values(len(indices)))
+        embedded = embed_chunks(samples, indices, chunks)
+        expected = samples.tolist()
+        for i, c in zip(indices.tolist(), chunks.tolist()):
+            expected[i] = embed_oracle(expected[i], c)
+        assert embedded.tolist() == expected
 
-    @given(st.integers(0, 0xFFFF), st.integers(0, 7))
-    def test_matches_bit_twiddling_oracle(self, sample, chunk):
-        assert embed_chunk(sample, chunk) == embed_oracle(sample, chunk)
+    @given(carriers, st.data())
+    def test_extract_of_embed(self, carrier, data):
+        samples, indices = carrier
+        chunks = data.draw(chunk_values(len(indices)))
+        embedded = embed_chunks(samples, indices, chunks)
+        assert np.array_equal(extract_chunks(embedded, indices), chunks)
+        assert np.array_equal(embedded >> 3, samples >> 3)  # upper thirteen preserved
+        assert np.abs(embedded.astype(np.int64) - samples).max() <= 7
 
-    @given(st.integers(0, 0xFFFF), st.integers(0, 7))
-    def test_extract_of_embed(self, sample, chunk):
-        embedded = embed_chunk(sample, chunk)
-        assert extract_chunk(embedded) == chunk
-        assert embedded >> 3 == sample >> 3  # upper thirteen preserved
-        assert abs(embedded - sample) <= 7
-
-    @given(st.integers(0, 0xFFFF), st.integers(0, 7), st.integers(0, 7))
-    def test_last_write_wins(self, sample, first, second):
-        assert embed_chunk(embed_chunk(sample, first), second) == embed_chunk(sample, second)
+    @given(carriers, st.data())
+    def test_last_write_wins(self, carrier, data):
+        samples, indices = carrier
+        first = data.draw(chunk_values(len(indices)))
+        second = data.draw(chunk_values(len(indices)))
+        twice = embed_chunks(embed_chunks(samples, indices, first), indices, second)
+        assert np.array_equal(twice, embed_chunks(samples, indices, second))
 
 
 class TestVectorized:
@@ -201,7 +219,7 @@ class TestVectorized:
         out = embed_chunks(samples, indices, chunks)
         expected = samples.copy()
         for i, c in zip(indices, chunks):
-            expected[i] = embed_chunk(int(expected[i]), int(c))
+            expected[i] = embed_oracle(int(expected[i]), int(c))
         assert np.array_equal(out, expected)
         assert extract_chunks(out, indices).tolist() == chunks.tolist()
 
