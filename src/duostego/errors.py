@@ -71,7 +71,7 @@ class LexiconError(DuostegoError):
 
 
 class LexiconParseError(LexiconError):
-    """Malformed lexicon line (bad field count, digit, POS tag, or word)."""
+    """Malformed lexicon line (bad field count, digit, POS tag, or word) or cell key."""
 
 
 class DuplicateWordError(LexiconError):
@@ -99,12 +99,6 @@ class UnknownWordError(LexiconError):
         self.position = position
         where = "" if position is None else f" (token {position})"
         super().__init__(f"unknown word {word!r}{where}")
-
-
-# Grammar ------------------------------------------------------------------
-
-class NoSkeletonError(DuostegoError):
-    """No derivable part-of-speech sequence of the requested length."""
 
 
 # Uncovering ---------------------------------------------------------------

@@ -3,11 +3,15 @@
 Fourteen production rules over five nonterminals generate every
 sentence shape this package emits; the terminals are the six
 part-of-speech classes, and the lexicon supplies the actual words.
-skeletons_of_length() enumerates every derivable part-of-speech
-sequence of an exact length (length-indexed bottom-up construction, so
-the recursive rules terminate); generate_sentence() realizes a digit
-sequence as words, one word per digit, picking skeleton and words from
-a seeded stream.
+skeletons_of_length() lists every derivable part-of-speech sequence of
+an exact length, from one memoized derivation, _derivable(symbol,
+length), which cuts `length` into one positive share per right-hand
+side symbol; a share that symbol cannot derive just adds nothing. No
+rule derives the empty string and the unit rules (S -> VP, VP -> VERB,
+...) form no cycle, so every recursive call is on a shorter length or
+lower in the unit-rule order, and the recursion ends.
+generate_sentence() realizes a digit sequence as words, one word per
+digit, picking skeleton and words from a seeded stream.
 
 Decoding is the odd one out: decode_sentence() maps words to digits
 through the lexicon alone and never consults the grammar, so text that
@@ -16,11 +20,11 @@ was reformatted (or was never derivable to begin with) still decodes.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import NoSkeletonError
-from .lexicon import _POS_ORDER, Lexicon, PosClass
+from .lexicon import Lexicon, PosClass
 from .rng import SplitMix64
 
 # fmt: off
@@ -44,84 +48,43 @@ PRODUCTIONS: tuple[tuple[str, tuple], ...] = (
 
 START = "S"
 
+_RULES = {lhs: [rhs for head, rhs in PRODUCTIONS if head == lhs] for lhs, _ in PRODUCTIONS}
 
-def _skeleton_key(skeleton):
-    return tuple(_POS_ORDER[p] for p in skeleton)
+_POS_INDEX = {pos: i for i, pos in enumerate(PosClass)}
+
+
+@cache
+def _derivable(symbol, length: int) -> frozenset:
+    """PosClass-index tuples of exactly `length` terminals that `symbol` derives."""
+    if isinstance(symbol, PosClass):
+        return frozenset([(_POS_INDEX[symbol],)]) if length == 1 else frozenset()
+    found = set()
+    for rhs in _RULES[symbol]:
+        for cuts in combinations(range(1, length), len(rhs) - 1):
+            bounds = (0, *cuts, length)
+            parts = [_derivable(s, end - begin) for s, begin, end in zip(rhs, bounds, bounds[1:])]
+            found.update(sum(pieces, ()) for pieces in product(*parts))
+    return frozenset(found)
+
+
+@cache
+def _skeletons(length: int) -> tuple[tuple[int, ...], ...]:
+    """Every skeleton of `length` terminals, as PosClass indices, in wire order."""
+    return tuple(sorted(_derivable(START, length)))
 
 
 class Grammar:
-    """The fixed production set, with per-instance caches."""
-
-    def __init__(self):
-        self._rules: dict[str, list[tuple]] = {}
-        for lhs, rhs in PRODUCTIONS:
-            self._rules.setdefault(lhs, []).append(rhs)
-        self._min_len = self._minimum_lengths()
-        self._derivable_cache: dict[tuple, frozenset] = {}
-        self._skeletons_cache: dict[int, tuple] = {}
-        self._skeleton_keys_cache: dict[int, tuple] = {}
-
-    # -- exact-length enumeration ---------------------------------------
+    """The fixed production set."""
 
     def skeletons_of_length(self, length: int) -> tuple[tuple[PosClass, ...], ...]:
         """All derivable part-of-speech sequences of exactly `length` terminals.
 
-        Deterministically ordered; raises NoSkeletonError on an empty
-        result (unreachable for this grammar when length >= 1).
+        Ordered lexicographically by each class's position in PosClass.
         """
         if length < 1:
             raise ValueError(f"length must be positive, got {length}")
-        cached = self._skeletons_cache.get(length)
-        if cached is None:
-            cached = tuple(sorted(self._derivable(START, length), key=_skeleton_key))
-            self._skeletons_cache[length] = cached
-        if not cached:
-            raise NoSkeletonError(f"no derivable sentence shape of length {length}")
-        return cached
-
-    def _derivable(self, symbol, length: int) -> frozenset:
-        if isinstance(symbol, PosClass):
-            return frozenset([(symbol,)]) if length == 1 else frozenset()
-        key = (symbol, length)
-        hit = self._derivable_cache.get(key)
-        if hit is not None:
-            return hit
-        found = set()
-        for rhs in self._rules[symbol]:
-            for parts in self._splits(rhs, length):
-                for pieces in product(*(self._derivable(s, n) for s, n in zip(rhs, parts))):
-                    found.add(sum(pieces, ()))
-        result = frozenset(found)
-        self._derivable_cache[key] = result
-        return result
-
-    def _splits(self, symbols, total: int):
-        """Ways to apportion `total` terminals among `symbols`, min-length pruned."""
-        if len(symbols) == 1:
-            if self._min_len[symbols[0]] <= total:
-                yield (total,)
-            return
-        head, tail = symbols[0], symbols[1:]
-        tail_min = sum(self._min_len[s] for s in tail)
-        for n in range(self._min_len[head], total - tail_min + 1):
-            for rest in self._splits(tail, total - n):
-                yield (n, *rest)
-
-    def _minimum_lengths(self) -> dict:
-        min_len = {pos: 1 for pos in PosClass}
-        for lhs in self._rules:
-            min_len[lhs] = len(PosClass) * 4  # any finite over-estimate
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in PRODUCTIONS:
-                candidate = sum(min_len[s] for s in rhs)
-                if candidate < min_len[lhs]:
-                    min_len[lhs] = candidate
-                    changed = True
-        return min_len
-
-    # -- generation ---------------------------------------------------------
+        classes = tuple(PosClass)
+        return tuple(tuple(classes[i] for i in skeleton) for skeleton in _skeletons(length))
 
     def generate_sentence(
         self, lexicon: Lexicon, digits: Sequence[int], seed: int
@@ -133,7 +96,7 @@ class Grammar:
         """
         if not digits:
             raise ValueError("cannot generate a sentence for zero digits")
-        skeletons = self._skeleton_keys(len(digits))
+        skeletons = _skeletons(len(digits))
         below = SplitMix64(seed).below
         skeleton = skeletons[below(len(skeletons))]
         cells = lexicon.words_by_pos
@@ -142,14 +105,6 @@ class Grammar:
             words = cells[pos][digit]
             tokens.append(words[below(len(words))])
         return tokens
-
-    def _skeleton_keys(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """skeletons_of_length(length) with each PosClass as its index in PosClass."""
-        cached = self._skeleton_keys_cache.get(length)
-        if cached is None:
-            cached = tuple(map(_skeleton_key, self.skeletons_of_length(length)))
-            self._skeleton_keys_cache[length] = cached
-        return cached
 
 
 def decode_sentence(lexicon: Lexicon, tokens: Iterable[str]) -> list[int]:

@@ -15,7 +15,6 @@ are normalized to lowercase and may not contain whitespace.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
@@ -41,20 +40,26 @@ class PosClass(enum.Enum):
     PROPER_NOUN = "propernoun"
 
 
-_POS_ORDER = {pos: i for i, pos in enumerate(PosClass)}
-
-
 class Lexicon:
     """Validated, immutable word inventory.
 
     Construct from a mapping of (digit, PosClass) -> iterable of words;
     most callers should use load_lexicon() or load_default_lexicon().
+    The one cell table is words_by_pos: words_by_pos[i][digit] holds the
+    sorted words of the i-th PosClass in category digit, so generation
+    indexes it without hashing a PosClass member.
     """
+
+    words_by_pos: tuple[tuple[tuple[str, ...], ...], ...]
 
     def __init__(self, cells):
         table = {}
         for (digit, pos), words in cells.items():
             table[(digit, pos)] = tuple(sorted(set(w.lower() for w in words)))
+
+        stray = table.keys() - {(digit, pos) for digit in DIGITS for pos in PosClass}
+        if stray:
+            raise LexiconParseError(f"cells outside digits 0-9 x part of speech: {sorted(stray, key=repr)}")
 
         missing = [
             (digit, pos.value)
@@ -66,16 +71,16 @@ class Lexicon:
             raise IncompleteCategoryError(
                 f"{len(missing)} empty (digit, pos) cells, first few: {missing[:5]}"
             )
+        self.words_by_pos = tuple(tuple(table[(digit, pos)] for digit in DIGITS) for pos in PosClass)
 
         digit_by_word = {}
-        for (digit, pos), words in sorted(table.items(), key=lambda kv: (kv[0][0], _POS_ORDER[kv[0][1]])):
-            for word in words:
-                seen = digit_by_word.get(word)
-                if seen is not None and seen != digit:
-                    raise DuplicateWordError(word, seen, digit)
-                digit_by_word[word] = digit
-
-        self._cells = table
+        for digit in DIGITS:
+            for cell in self.words_by_pos:
+                for word in cell[digit]:
+                    seen = digit_by_word.get(word)
+                    if seen is not None and seen != digit:
+                        raise DuplicateWordError(word, seen, digit)
+                    digit_by_word[word] = digit
         self._digit_by_word = digit_by_word
 
     def digits_of(self, tokens: Sequence[str]) -> list[int]:
@@ -94,16 +99,6 @@ class Lexicon:
                 raise UnknownWordError(tokens[position], position)
         return [table[word] for word in words]
 
-    @cached_property
-    def words_by_pos(self) -> tuple[dict[int, tuple[str, ...]], ...]:
-        """Sorted words of each (digit, POS) cell, as words_by_pos[i][digit] for the i-th PosClass.
-
-        The lookup hashes no PosClass member, which costs a Python-level
-        call per hash. Built on first use, so loading a lexicon does no
-        extra work.
-        """
-        return tuple({digit: self._cells[(digit, pos)] for digit in DIGITS} for pos in PosClass)
-
     def __contains__(self, word: str) -> bool:
         return word.lower() in self._digit_by_word
 
@@ -113,17 +108,16 @@ class Lexicon:
     def __eq__(self, other):
         if not isinstance(other, Lexicon):
             return NotImplemented
-        return self._cells == other._cells
+        return self.words_by_pos == other.words_by_pos
 
     __hash__ = None
 
     def serialize(self) -> str:
         """Canonical text form: digit|pos|word lines sorted by (digit, pos, word)."""
         lines = []
-        for (digit, pos), words in sorted(
-            self._cells.items(), key=lambda kv: (kv[0][0], _POS_ORDER[kv[0][1]])
-        ):
-            lines.extend(f"{digit}|{pos.value}|{word}" for word in words)
+        for digit in DIGITS:
+            for pos, cell in zip(PosClass, self.words_by_pos):
+                lines.extend(f"{digit}|{pos.value}|{word}" for word in cell[digit])
         return "\n".join(lines) + "\n"
 
 

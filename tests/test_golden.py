@@ -144,6 +144,32 @@ def test_generate_sentence_known_answers(default_lexicon, digits, seed, expected
     assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, list(digits), seed) == expected
 
 
+# The skeleton order is wire format: generate_sentence picks a skeleton by
+# its index in this order, so reordering changes every sentence's words.
+@pytest.mark.parametrize(
+    "length, count, digest",
+    [
+        (1, 1, "3984942fa38de592a22c79ddd0acc31554a43a19be86ebe329f46679a36a6212"),
+        (2, 4, "5786063730b229d5e998731b74e0997158efaf19fe144edbb04835b9e3aa163e"),
+        (3, 8, "6b9045f536e907c00ac4857342aece1b72db6d2528069e0baf86049f92ceddb6"),
+        (4, 15, "3f0bd2e1bb2347a06583df589ac2ad1517accc488de5ec6239943a28fab4be9d"),
+        (5, 30, "7466fa93a7d29b3cc714af4ff33590aaee34d932a1a73fd57f1e1d8405cf8690"),
+        (6, 62, "84952d807715db5414e35b6846c485715a40c29c6c471bc4adfc0ad7855d2c15"),
+        (7, 131, "7cebaefb34efd46e1a47338e910402bf3d88d242cc6e8d33031ca062c0b6d5a4"),
+        (8, 282, "4b11fbd3d54b3711016af7060451caea8e843ea76d5281f236cef568956337b8"),
+        (9, 613, "a7f4385b5ff2f24b21a4092fd60da27b2ffd7a6f3e033ebda1f0e5fba433c6e2"),
+        (10, 1343, "2aacdc9e4fe27bfaeacbf010980431979e5becf787ecb0cd6da8ee8d03f6fd9e"),
+        (11, 2953, "56a4bdb94daeb87f0c286bcef7ded37c7353fbd03867b2a358008f77a713e4d6"),
+        (12, 6511, "637b5e24aa0088d5683e9fe819b41cb4371cf7f52ad98e689db0002e2c607f23"),
+    ],
+)
+def test_skeleton_order_known_answers(length, count, digest):
+    skeletons = DEFAULT_GRAMMAR.skeletons_of_length(length)
+    listing = repr([tuple(pos.value for pos in skeleton) for skeleton in skeletons])
+    assert len(skeletons) == count
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "n, index, digits",
     [

@@ -8,7 +8,7 @@ from duostego.errors import (
     LexiconParseError,
     UnknownWordError,
 )
-from duostego.lexicon import PosClass, load_lexicon
+from duostego.lexicon import Lexicon, PosClass, load_lexicon
 
 from conftest import REFERENCE_PLACEMENTS, make_lexicon_text, words_for
 
@@ -62,6 +62,22 @@ class TestLoading:
     def test_malformed_lines(self, line):
         with pytest.raises(LexiconParseError):
             load_lexicon(make_lexicon_text() + line + "\n")
+
+    @pytest.mark.parametrize(
+        "key",
+        [(10, PosClass.NOUN), (-1, PosClass.VERB), ("3", PosClass.DET), (3, "noun")],
+    )
+    def test_cells_outside_the_table_rejected(self, key):
+        # such a cell could not be written back: serialize() would emit a
+        # line that load_lexicon rejects, or silently drop it
+        cells = {}
+        for line in make_lexicon_text().splitlines():
+            digit, pos, word = line.split("|")
+            cells.setdefault((int(digit), PosClass(pos)), set()).add(word)
+        cells[key] = {"zzzq"}
+        with pytest.raises(LexiconParseError) as err:
+            Lexicon(cells)
+        assert repr(key) in str(err.value)
 
     def test_same_word_two_pos_same_category_allowed(self):
         text = make_lexicon_text(
