@@ -35,8 +35,10 @@ class AudioClip:
     """Decoded 16-bit PCM audio: format metadata plus raw sample patterns.
 
     ``samples`` is a read-only uint16 array in file interleave order.
-    ``trailing_chunks`` holds any non-fmt, non-data RIFF chunks as
-    (chunk id, payload) byte pairs, kept verbatim.
+    It shares memory with the array given (which stays writable to its
+    owner): a copy would double every carrier-sized peak. A parsed clip
+    views the file bytes. ``trailing_chunks`` holds any non-fmt, non-data
+    RIFF chunks as (chunk id, payload) byte pairs, kept verbatim.
     """
 
     sample_rate: int
@@ -49,7 +51,7 @@ class AudioClip:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.channel_count < 1:
             raise ValueError(f"channel_count must be positive, got {self.channel_count}")
-        arr = np.ascontiguousarray(self.samples, dtype=np.uint16)
+        arr = np.ascontiguousarray(self.samples, dtype=np.uint16).view()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "trailing_chunks", tuple(self.trailing_chunks))
@@ -81,8 +83,12 @@ def parse_wav(data: bytes) -> AudioClip:
 
     Accepts only integer PCM (format tag 1) at 16 bits per sample.
     Raises NotRiffError, UnsupportedCodecError, UnsupportedDepthError,
-    TruncatedError or MissingChunkError on anything else.
+    TruncatedError or MissingChunkError on anything else. The clip's
+    samples view the data chunk in ``data`` without copying it; a
+    mutable buffer (bytearray, writable memoryview) is copied first.
     """
+    data = bytes(data)  # the same object when data is already bytes
+    view = memoryview(data)
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise NotRiffError("missing RIFF/WAVE magic")
     (riff_size,) = _U32.unpack_from(data, 4)
@@ -107,13 +113,13 @@ def parse_wav(data: bytes) -> AudioClip:
                 f"chunk {cid!r} declares {size} bytes but only "
                 f"{end - body_start} remain"
             )
-        body = data[body_start : body_start + size]
+        body = view[body_start : body_start + size]
         if cid == b"fmt " and fmt_body is None:
             fmt_body = body
         elif cid == b"data" and data_body is None:
             data_body = body
         else:
-            trailing.append((cid, body))
+            trailing.append((cid, bytes(body)))
         pos = body_start + size + (size & 1)  # odd chunks carry a pad byte
 
     if fmt_body is None:
@@ -147,7 +153,7 @@ def write_wav(clip: AudioClip) -> bytes:
     Layout: RIFF header, 16-byte PCM fmt chunk, data chunk, then any
     preserved trailing chunks (padded to even length per RIFF rules).
     """
-    payload = clip.samples.astype("<u2", copy=False).tobytes()
+    payload = memoryview(clip.samples.astype("<u2", copy=False)).cast("B")
     block_align = clip.channel_count * BYTES_PER_SAMPLE
     fmt_body = _FMT_STRUCT.pack(
         WAVE_FORMAT_PCM,
@@ -158,15 +164,11 @@ def write_wav(clip: AudioClip) -> bytes:
         16,
     )
 
-    chunks = [(b"fmt ", fmt_body), (b"data", payload)]
-    chunks.extend(clip.trailing_chunks)
+    chunks = [(b"fmt ", fmt_body), (b"data", payload), *clip.trailing_chunks]
 
-    out = bytearray()
+    parts = []
     for cid, body in chunks:
-        out += cid
-        out += _U32.pack(len(body))
-        out += body
-        if len(body) & 1:
-            out += b"\x00"
-    return b"RIFF" + _U32.pack(4 + len(out)) + b"WAVE" + bytes(out)
+        parts += (cid, _U32.pack(len(body)), body, b"\x00" * (len(body) & 1))
+    riff_size = 4 + sum(map(len, parts))
+    return b"".join([b"RIFF", _U32.pack(riff_size), b"WAVE", *parts])
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -59,6 +60,21 @@ def data_chunk_of(wav_bytes: bytes) -> bytes:
             return wav_bytes[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)
     raise AssertionError("no data chunk found")
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes newly allocated during the call), by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc, so the peak covers
+    both Python objects and array data.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def bitstr(s: str) -> np.ndarray:

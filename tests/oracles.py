@@ -6,11 +6,17 @@
 * recognize(): a CYK membership check over a binarized copy of
   grammar.PRODUCTIONS, independent of the enumerator;
 * embed_oracle(): the 3-LSB embedding rule as a textual splice of bit
-  strings.
+  strings;
+* distortion_oracle(): the distortion statistics as whole-array int64
+  arithmetic, the formula pipeline.distortion_report used before it
+  went block-wise.
 """
 
+import math
 from collections import deque
 from typing import Sequence
+
+import numpy as np
 
 from duostego.grammar import PRODUCTIONS, START
 from duostego.lexicon import PosClass
@@ -105,3 +111,19 @@ def recognize(skeleton: Sequence[PosClass]) -> bool:
 def embed_oracle(sample: int, chunk: int) -> int:
     """Independent bit-twiddling oracle: splice bit strings textually."""
     return int(format(sample, "016b")[:13] + format(chunk, "03b"), 2)
+
+
+def distortion_oracle(original: np.ndarray, stego: np.ndarray):
+    """(samples_changed, max_abs_delta, mean_abs_delta, snr_db) of two uint16 arrays."""
+    delta = np.abs(original.astype(np.int64) - stego.astype(np.int64))
+    changed = int(np.count_nonzero(delta))
+    max_delta = int(delta.max()) if delta.size else 0
+    mean_delta = float(delta.mean()) if delta.size else 0.0
+    signal = original.view(np.int16).astype(np.int64)
+    noise = signal - stego.view(np.int16).astype(np.int64)
+    noise_power = int(np.sum(noise * noise))
+    if noise_power == 0:
+        return changed, max_delta, mean_delta, math.inf
+    signal_power = int(np.sum(signal * signal))
+    snr = 10.0 * math.log10(signal_power / noise_power) if signal_power else -math.inf
+    return changed, max_delta, mean_delta, snr

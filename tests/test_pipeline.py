@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from duostego import payload_codec
+from duostego import payload_codec, pipeline
 from duostego.errors import (
     BadSentenceLengthError,
     CapacityExceededError,
     CoordinateOutOfRangeError,
+    DuostegoError,
     ExtractionError,
     HeaderCorruptError,
     LengthMismatchError,
@@ -24,6 +27,9 @@ from duostego.pipeline import (
 )
 from duostego.sample_grid import select_samples
 from duostego.wav_codec import AudioClip
+
+from conftest import traced_peak
+from oracles import distortion_oracle
 
 
 def random_carrier(n, seed=0, rate=8000, channels=1):
@@ -264,6 +270,17 @@ class TestUncover:
             pass
 
 
+# Equal-length sample and mask arrays; each stego sample is the original
+# XOR its mask: zero, a 3-LSB change or anything.
+_masks = st.one_of(st.just(0), st.integers(0, 7), st.integers(0, 0xFFFF))
+_clip_pairs = st.integers(0, 100).flatmap(
+    lambda n: st.tuples(
+        arrays(np.uint16, n, elements=st.one_of(st.just(0), st.integers(0, 0xFFFF))),
+        arrays(np.uint16, n, elements=_masks),
+    )
+)
+
+
 class TestDistortionReport:
     def test_identical_clips(self):
         clip = random_carrier(64, seed=30)
@@ -304,3 +321,87 @@ class TestDistortionReport:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             distortion_report(clip_of([1, 2]), clip_of([1]))
+
+    def test_empty_clips(self):
+        empty = clip_of([])
+        report = distortion_report(empty, empty)
+        assert (report.samples_changed, report.max_abs_delta) == (0, 0)
+        assert report.mean_abs_delta == 0.0
+        assert report.snr_db == math.inf
+
+    @given(_clip_pairs, st.integers(1, 7))
+    @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2)  # -inf dB
+    @settings(max_examples=200)
+    def test_blocks_match_whole_array_oracle(self, clips, block):
+        original, masks = clips
+        stego = original ^ masks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_BLOCK", block)
+            report = distortion_report(clip_of(original), clip_of(stego))
+        changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
+        assert report.samples_changed == changed
+        assert report.max_abs_delta == max_delta
+        assert report.snr_db == snr
+        abs_sum = sum(abs(int(a) - int(b)) for a, b in zip(original, stego))
+        n = original.size
+        assert report.mean_abs_delta == (abs_sum / n if n else 0.0)
+        assert report.mean_abs_delta == pytest.approx(mean_delta, rel=1e-12)
+
+    def test_peak_memory_bounded(self):
+        # Three full 2**20-sample blocks and a ragged one. The whole-array
+        # int64 formula (oracles.distortion_oracle) peaks near 150 MB here.
+        original = random_carrier(3 * (1 << 20) + 5, seed=33)
+        stego = original.with_samples(original.samples ^ np.uint16(5))
+        report, peak = traced_peak(distortion_report, original, stego)
+        assert report.samples_changed == original.sample_count
+        assert peak < 48 * 2**20
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(default_lexicon):
+    return cover(random_carrier(2000, seed=40), b"fuzz me", default_lexicon, seed=41)
+
+
+_line_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "duplicate", "swap", "truncate", "word", "junk", "extra"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.text(max_size=6),
+    ),
+    max_size=5,
+)
+
+
+class TestUncoverFuzz:
+    @given(_line_edits, st.one_of(st.none(), st.integers(0, 4000)))
+    @settings(max_examples=300)
+    def test_damaged_bundle_fails_typed(self, fuzz_bundle, default_lexicon, edits, resize):
+        words = [w for cells in default_lexicon.words_by_pos for cell in cells for w in cell]
+        lines = [list(s) for s in fuzz_bundle.sentences]
+        for kind, i, j, junk in edits:
+            if kind == "truncate":
+                del lines[i % (len(lines) + 1) :]
+                continue
+            if not lines:
+                continue
+            i %= len(lines)
+            line = lines[i]
+            if kind == "drop":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, list(line))
+            elif kind == "swap":
+                j %= len(lines)
+                lines[i], lines[j] = lines[j], lines[i]
+            elif kind == "extra":
+                line.insert(j % (len(line) + 1), words[j % len(words)])
+            elif line:  # replace one word with a lexicon word or with junk text
+                line[j % len(line)] = words[j % len(words)] if kind == "word" else junk
+        stego = fuzz_bundle.stego_audio
+        if resize is not None:
+            stego = stego.with_samples(np.resize(stego.samples, resize))
+        try:
+            uncover(stego, lines, default_lexicon)
+        except DuostegoError:
+            pass

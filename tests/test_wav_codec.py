@@ -14,7 +14,7 @@ from duostego.errors import (
 )
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
-from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes
+from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, traced_peak
 
 
 def clip_of(samples, rate=8000, channels=1, trailing=()):
@@ -97,6 +97,13 @@ class TestParse:
         rewritten = parse_wav(write_wav(clip))
         assert rewritten.trailing_chunks == (extra_before, extra_after)
 
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_mutable_input_not_aliased(self, wrap):
+        buf = wrap(ref_wav_bytes([1, 2, 3]))
+        clip = parse_wav(buf)
+        buf[-6:] = bytes(6)  # overwrite the data chunk in place
+        assert clip.samples.tolist() == [1, 2, 3]
+
 
 class TestWrite:
     def test_zero_sample_payload_bytes(self):
@@ -159,6 +166,13 @@ class TestClipInvariants:
         with pytest.raises(ValueError):
             clip.samples[0] = 9
 
+    def test_caller_array_stays_writable(self):
+        arr = np.array([1, 2, 3], dtype=np.uint16)
+        clip = AudioClip(8000, 1, arr)
+        assert arr.flags.writeable
+        assert not clip.samples.flags.writeable
+        assert np.shares_memory(clip.samples, arr)  # a view, never a copy
+
     def test_bad_metadata_rejected(self):
         with pytest.raises(ValueError):
             AudioClip(0, 1, np.zeros(1, dtype=np.uint16))
@@ -172,6 +186,27 @@ class TestClipInvariants:
         assert other.sample_rate == clip.sample_rate
         assert other.trailing_chunks == clip.trailing_chunks
         assert other != clip
+
+
+class TestMemory:
+    """A carrier-sized step holds one copy of the samples (tracemalloc peaks)."""
+
+    COUNT = 3 * (1 << 20) + 5
+
+    def test_parse_views_the_input_bytes(self):
+        samples = np.arange(self.COUNT, dtype=np.uint16)
+        data = write_wav(clip_of(samples, trailing=((b"cue ", b"abc"),)))
+        clip, peak = traced_peak(parse_wav, data)
+        assert np.shares_memory(clip.samples, np.frombuffer(data, np.uint8))
+        assert peak < 2**20
+        assert clip.trailing_chunks == ((b"cue ", b"abc"),)
+        assert type(clip.trailing_chunks[0][1]) is bytes  # not a view pinning the file
+
+    def test_write_peak_is_one_output_copy(self):
+        clip = clip_of(np.arange(self.COUNT, dtype=np.uint16))
+        data, peak = traced_peak(write_wav, clip)
+        assert peak <= len(data) + 2**20
+        assert data == ref_wav_bytes(clip.samples.tolist())
 
 
 # A valid file with chunks on both sides of the data chunk (one odd-length).
