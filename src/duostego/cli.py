@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: cover, uncover, capacity, inspect. Exit codes: 0 success,
-2 usage (argparse), 3 capacity exceeded, 4 lexicon problems, 5 WAV
-parse problems, 6 extraction failures, 1 anything else.
+2 usage (argparse), 1 anything else, and for each error family the code
+of the first matching row of _FAMILY_CODES: 3 capacity exceeded,
+6 extraction failures, 4 lexicon problems, 5 WAV parse problems.
 
 The text intermediate is written one sentence per line, lowercase
 words separated by single spaces; reading back tolerates any amount of
@@ -20,17 +21,14 @@ from .errors import (
     DuostegoError,
     ExtractionError,
     LexiconError,
-    UnknownWordError,
     WavError,
 )
 from .lexicon import Lexicon, load_default_lexicon, load_lexicon
 from .pipeline import capacity_bytes, cover, distortion_report, uncover
 from .wav_codec import parse_wav, write_wav
 
-EXIT_CAPACITY = 3
-EXIT_LEXICON = 4
-EXIT_WAV = 5
-EXIT_EXTRACTION = 6
+# Ordered: UnknownWordError is both an extraction and a lexicon error.
+_FAMILY_CODES = ((CapacityExceededError, 3), (ExtractionError, 6), (LexiconError, 4), (WavError, 5))
 
 
 def _load_lexicon_arg(path: str | None) -> Lexicon:
@@ -136,21 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CapacityExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ExtractionError, UnknownWordError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXTRACTION
-    except LexiconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEXICON
-    except WavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WAV
     except (DuostegoError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for family, code in _FAMILY_CODES if isinstance(exc, family)), 1)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 Errors are grouped into families so the CLI can map each family to a
 distinct exit code: WAV container problems, lexicon problems, capacity
-overruns, and failures while recovering a payload.
+overruns, and failures while recovering a payload. UnknownWordError
+belongs to two families, extraction and lexicon; the CLI's exit-code
+table takes the first family that matches, so it exits as an
+extraction failure.
 """
 
 
@@ -91,20 +94,19 @@ class IncompleteCategoryError(LexiconError):
     """Some (digit, part-of-speech) cell has no words."""
 
 
-class UnknownWordError(LexiconError):
-    """A token does not belong to any category."""
-
-    def __init__(self, word, position=None):
-        self.word = word
-        self.position = position
-        where = "" if position is None else f" (token {position})"
-        super().__init__(f"unknown word {word!r}{where}")
-
-
 # Uncovering ---------------------------------------------------------------
 
 class ExtractionError(DuostegoError):
     """Base class for failures while recovering a payload."""
+
+
+class UnknownWordError(ExtractionError, LexiconError):
+    """A token of the location text does not belong to any category."""
+
+    def __init__(self, word, position):
+        self.word = word
+        self.position = position
+        super().__init__(f"unknown word {word!r} (token {position})")
 
 
 class BadSentenceLengthError(ExtractionError):

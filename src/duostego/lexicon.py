@@ -99,27 +99,6 @@ class Lexicon:
                 raise UnknownWordError(tokens[position], position)
         return [table[word] for word in words]
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._digit_by_word
-
-    def __len__(self) -> int:
-        return len(self._digit_by_word)
-
-    def __eq__(self, other):
-        if not isinstance(other, Lexicon):
-            return NotImplemented
-        return self.words_by_pos == other.words_by_pos
-
-    __hash__ = None
-
-    def serialize(self) -> str:
-        """Canonical text form: digit|pos|word lines sorted by (digit, pos, word)."""
-        lines = []
-        for digit in DIGITS:
-            for pos, cell in zip(PosClass, self.words_by_pos):
-                lines.extend(f"{digit}|{pos.value}|{word}" for word in cell[digit])
-        return "\n".join(lines) + "\n"
-
 
 def load_lexicon(text: str) -> Lexicon:
     """Parse and validate lexicon text (see module docstring for the format)."""

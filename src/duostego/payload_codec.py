@@ -40,8 +40,7 @@ def frame(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size >= 1 << 32:
         raise OversizeError(f"{bits.size} bits cannot be described by a 32-bit header")
-    header = np.unpackbits(np.frombuffer(struct.pack(">I", bits.size), dtype=np.uint8))
-    return np.concatenate([header, bits])
+    return np.concatenate([bytes_to_bits(struct.pack(">I", bits.size)), bits])
 
 
 def unframe(bits: np.ndarray) -> np.ndarray:
@@ -53,7 +52,7 @@ def unframe(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < HEADER_BITS:
         raise HeaderCorruptError(f"only {bits.size} bits, the length header needs {HEADER_BITS}")
-    (declared,) = struct.unpack(">I", np.packbits(bits[:HEADER_BITS]).tobytes())
+    (declared,) = struct.unpack(">I", bits_to_bytes(bits[:HEADER_BITS]))
     if declared > bits.size - HEADER_BITS:
         raise HeaderCorruptError(
             f"header declares {declared} payload bits but only "

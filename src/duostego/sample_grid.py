@@ -40,23 +40,6 @@ class GridGeometry:
     height: int
     digit_width: int
 
-    def index_to_coord(self, index: int) -> tuple[int, int]:
-        """(row, column) of a sample index."""
-        if not 0 <= index < self.total_samples:
-            raise OutOfRangeError(f"sample index {index} outside [0, {self.total_samples})")
-        return divmod(index, self.width)
-
-    def coord_to_index(self, x: int, y: int) -> int:
-        """Sample index of grid position (row x, column y)."""
-        if not (0 <= x < self.height and 0 <= y < self.width):
-            raise OutOfRangeError(f"coordinate ({x}, {y}) outside the {self.height}x{self.width} grid")
-        index = x * self.width + y
-        if index >= self.total_samples:
-            raise OutOfRangeError(
-                f"coordinate ({x}, {y}) lies past the last sample ({self.total_samples})"
-            )
-        return index
-
     @cached_property
     def _coord_digits(self) -> tuple[tuple[int, ...], ...]:
         """Zero-padded digits of every coordinate value, built on first use.
@@ -70,7 +53,9 @@ class GridGeometry:
 
     def digits_for(self, index: int) -> list[int]:
         """The 2 x digit_width decimal digits encoding a sample's coordinates."""
-        x, y = self.index_to_coord(index)
+        if not 0 <= index < self.total_samples:
+            raise OutOfRangeError(f"sample index {index} outside [0, {self.total_samples})")
+        x, y = divmod(index, self.width)
         table = self._coord_digits
         return [*table[x], *table[y]]
 
@@ -86,10 +71,11 @@ class GridGeometry:
         for digit in digits:
             value = 10 * value + digit
         x, y = divmod(value, 10**d)
-        try:
-            return self.coord_to_index(x, y)
-        except OutOfRangeError as exc:
-            raise CoordinateOutOfRangeError(str(exc)) from exc
+        index = x * self.width + y
+        # A row past the last one always gives index >= total_samples.
+        if not (0 <= y < self.width and 0 <= index < self.total_samples):
+            raise CoordinateOutOfRangeError(f"coordinate ({x}, {y}) outside the {self.total_samples}-sample grid")
+        return index
 
 
 def geometry(n: int) -> GridGeometry:

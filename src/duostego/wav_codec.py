@@ -138,6 +138,10 @@ def parse_wav(data: bytes) -> AudioClip:
         raise UnsupportedCodecError("fmt chunk declares zero channels")
     if rate < 1:
         raise UnsupportedCodecError("fmt chunk declares a zero sample rate")
+    if channels * BYTES_PER_SAMPLE > 0xFFFF or rate * channels * BYTES_PER_SAMPLE >= 1 << 32:
+        raise UnsupportedCodecError(
+            f"{channels} channels at {rate} Hz overflow the fmt chunk's block-align or byte-rate field"
+        )
     if len(data_body) % BYTES_PER_SAMPLE:
         raise TruncatedError(
             f"data chunk length {len(data_body)} is odd; a 16-bit sample is cut off"

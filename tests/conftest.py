@@ -46,8 +46,9 @@ def raw_wav_bytes(chunks, riff_size=None) -> bytes:
 
 
 def pcm_fmt_body(channels=1, rate=8000, bits=16, tag=1) -> bytes:
+    """fmt chunk body; block align and byte rate wrap to their 16 and 32 bits."""
     block = channels * bits // 8
-    return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    return struct.pack("<HHIIHH", tag, channels, rate, (rate * block) & 0xFFFFFFFF, block & 0xFFFF, bits)
 
 
 def data_chunk_of(wav_bytes: bytes) -> bytes:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from duostego import cli, errors
 from duostego.cli import main
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
-from conftest import make_lexicon_text, ref_wav_bytes
+from conftest import make_lexicon_text, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes
 
 
 @pytest.fixture
@@ -140,6 +141,18 @@ class TestExitCodes:
         assert main(["capacity", str(fake)]) == 5
         capsys.readouterr()
 
+    @pytest.mark.parametrize("channels,rate", [(2, 3_000_000_000), (40_000, 8000)])
+    def test_fmt_the_writer_cannot_hold_is_5(self, tmp_path, capsys, channels, rate):
+        # write_wav could not write such a clip back, so parse_wav refuses it
+        # before cover does any work
+        carrier = tmp_path / "odd.wav"
+        fmt = pcm_fmt_body(channels, rate)
+        carrier.write_bytes(raw_wav_bytes([(b"fmt ", fmt), (b"data", bytes(range(256)) * 16)]))
+        code, stego, text, _ = run_cover(tmp_path, carrier, payload=b"x")
+        assert code == 5
+        assert "channels" in capsys.readouterr().err
+        assert not stego.exists() and not text.exists()
+
     def test_extraction_failure_is_6(self, tmp_path, carrier_path, capsys):
         _, stego, text, _ = run_cover(tmp_path, carrier_path)
         lines = text.read_text().splitlines()
@@ -202,3 +215,57 @@ class TestExitCodes:
         assert code == 1
         assert "utf-8" in capsys.readouterr().err
         assert not (tmp_path / "s.wav").exists()
+
+
+# The exit codes README.md lists, for every error class in duostego.errors.
+README_EXIT_CODES = {
+    "DuostegoError": 1,
+    "WavError": 5,
+    "NotRiffError": 5,
+    "UnsupportedDepthError": 5,
+    "UnsupportedCodecError": 5,
+    "TruncatedError": 5,
+    "MissingChunkError": 5,
+    "OversizeError": 1,
+    "LengthMismatchError": 1,
+    "NotByteAlignedError": 1,
+    "ZeroSamplesError": 1,
+    "OutOfRangeError": 1,
+    "CapacityExceededError": 3,
+    "LexiconError": 4,
+    "LexiconParseError": 4,
+    "DuplicateWordError": 4,
+    "IncompleteCategoryError": 4,
+    "UnknownWordError": 6,  # raised only while location text is decoded
+    "ExtractionError": 6,
+    "BadSentenceLengthError": 6,
+    "CoordinateOutOfRangeError": 6,
+    "HeaderCorruptError": 6,
+    "RepeatedPositionError": 6,
+}
+ERROR_ARGS = {
+    "DuplicateWordError": ("walk", 0, 9),
+    "UnknownWordError": ("xyzzy", 0),
+    "RepeatedPositionError": (3, 4, 17),
+}
+
+
+def test_exit_code_table_covers_every_error():
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.DuostegoError)
+    }
+    assert classes == README_EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("name,code", README_EXIT_CODES.items())
+def test_error_exit_code(monkeypatch, capsys, name, code):
+    exc = getattr(errors, name)(*ERROR_ARGS.get(name, ("boom",)))
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_capacity", fail)
+    assert main(["capacity", "unused.wav"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -46,29 +46,53 @@ class TestGeometry:
 
 class TestCoordinates:
     def test_origin(self):
-        assert geometry(1000).index_to_coord(0) == (0, 0)
+        g = geometry(1000)
+        assert g.digits_for(0) == [0, 0, 0, 0]
+        assert g.index_from_digits([0, 0, 0, 0]) == 0
 
     def test_row_major(self):
-        assert geometry(1000).index_to_coord(65) == (2, 1)  # 65 = 2*32 + 1
+        g = geometry(1000)
+        assert g.digits_for(65) == [0, 2, 0, 1]  # 65 = 2*32 + 1
+        assert g.index_from_digits([0, 2, 0, 1]) == 65
 
     def test_out_of_range(self):
-        g = geometry(1000)
+        g = geometry(1000)  # 32 x 32 grid, last row holds 8 samples
         with pytest.raises(OutOfRangeError):
-            g.index_to_coord(1000)
-        with pytest.raises(OutOfRangeError):
-            g.coord_to_index(32, 0)
-        with pytest.raises(OutOfRangeError):
-            g.coord_to_index(0, 32)
-        with pytest.raises(OutOfRangeError):
-            g.coord_to_index(31, 8)  # 31*32+8 = 1000, one past the end
+            g.digits_for(1000)
+        with pytest.raises(CoordinateOutOfRangeError):
+            g.index_from_digits([3, 2, 0, 0])  # row 32
+        with pytest.raises(CoordinateOutOfRangeError):
+            g.index_from_digits([0, 0, 3, 2])  # column 32
+        with pytest.raises(CoordinateOutOfRangeError):
+            g.index_from_digits([3, 1, 0, 8])  # (31, 8): 31*32+8 = 1000, one past the end
 
     @given(st.integers(1, 10**7), st.data())
     def test_bijection(self, n, data):
+        # from the grid side: every on-grid (x, y) names one sample, and
+        # that sample's digits spell (x, y) back
         g = geometry(n)
-        i = data.draw(st.integers(0, n - 1))
-        x, y = g.index_to_coord(i)
-        assert 0 <= x < g.height and 0 <= y < g.width
-        assert g.coord_to_index(x, y) == i
+        x = data.draw(st.integers(0, g.height - 1))
+        y = data.draw(st.integers(0, g.width - 1 if x < g.height - 1 else (n - 1) % g.width))
+        d = g.digit_width
+        digits = [int(c) for c in f"{x:0{d}d}{y:0{d}d}"]
+        assert g.index_from_digits(digits) == x * g.width + y < n
+        assert g.digits_for(x * g.width + y) == digits
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 99, 100, 101, 999])
+    def test_every_digit_string(self, n):
+        # each of the 10^(2d) digit strings names the sample whose row-major
+        # (x, y) it spells, or no sample at all
+        g = geometry(n)
+        d = g.digit_width
+        on_grid = {f"{i // g.width:0{d}d}{i % g.width:0{d}d}": i for i in range(n)}
+        for value in range(10 ** (2 * d)):
+            text = f"{value:0{2 * d}d}"
+            digits = [int(c) for c in text]
+            if text in on_grid:
+                assert g.index_from_digits(digits) == on_grid[text]
+            else:
+                with pytest.raises(CoordinateOutOfRangeError):
+                    g.index_from_digits(digits)
 
     def test_digits_zero_padded(self):
         g = geometry(1_000_000)

@@ -64,6 +64,23 @@ class TestParse:
         with pytest.raises(UnsupportedCodecError):
             parse_wav(wav)
 
+    @pytest.mark.parametrize(
+        "channels,rate",
+        [(40_000, 8000), (32_768, 8000), (2, 3_000_000_000), (1, 1 << 31)],
+    )
+    def test_fmt_write_wav_cannot_hold_rejected(self, channels, rate):
+        # block align (channels * 2) is a 16-bit field, byte rate a 32-bit one
+        wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body(channels, rate)), (b"data", b"\x00" * 4)])
+        with pytest.raises(UnsupportedCodecError):
+            parse_wav(wav)
+
+    @pytest.mark.parametrize("channels,rate", [(32_767, 8000), (1, (1 << 31) - 1)])
+    def test_largest_writable_fmt_round_trips(self, channels, rate):
+        wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body(channels, rate)), (b"data", b"\x00" * 4)])
+        clip = parse_wav(wav)
+        assert (clip.channel_count, clip.sample_rate) == (channels, rate)
+        assert parse_wav(write_wav(clip)) == clip
+
     def test_truncated_data_chunk(self):
         good = ref_wav_bytes([1, 2, 3, 4])
         with pytest.raises(TruncatedError):
