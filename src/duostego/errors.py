@@ -28,7 +28,7 @@ class UnsupportedDepthError(WavError):
 
 
 class UnsupportedCodecError(WavError):
-    """Format tag is not integer PCM (1), or the fmt chunk is nonsense."""
+    """Format tag is not PCM (1), or a rate or channel count no fmt chunk can hold (parsed or built)."""
 
 
 class TruncatedError(WavError):

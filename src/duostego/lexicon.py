@@ -40,38 +40,31 @@ class PosClass(enum.Enum):
     PROPER_NOUN = "propernoun"
 
 
-class Lexicon:
-    """Validated, immutable word inventory.
+_POS_ROWS = {pos.value: row for row, pos in enumerate(PosClass)}  # file tag -> cell-table row
 
-    Construct from a mapping of (digit, PosClass) -> iterable of words;
-    most callers should use load_lexicon() or load_default_lexicon().
-    The one cell table is words_by_pos: words_by_pos[i][digit] holds the
-    sorted words of the i-th PosClass in category digit, so generation
-    indexes it without hashing a PosClass member.
+
+class Lexicon:
+    """Validated, immutable word inventory; build it with load_lexicon().
+
+    Takes cells[i][digit], the lowercase word set of the i-th PosClass in
+    category digit, and keeps them sorted as words_by_pos, the one cell
+    table: generation indexes it without hashing a PosClass member.
     """
 
     words_by_pos: tuple[tuple[tuple[str, ...], ...], ...]
 
-    def __init__(self, cells):
-        table = {}
-        for (digit, pos), words in cells.items():
-            table[(digit, pos)] = tuple(sorted(set(w.lower() for w in words)))
-
-        stray = table.keys() - {(digit, pos) for digit in DIGITS for pos in PosClass}
-        if stray:
-            raise LexiconParseError(f"cells outside digits 0-9 x part of speech: {sorted(stray, key=repr)}")
-
+    def __init__(self, cells: list[list[set[str]]]):
         missing = [
             (digit, pos.value)
             for digit in DIGITS
-            for pos in PosClass
-            if not table.get((digit, pos))
+            for pos, row in zip(PosClass, cells)
+            if not row[digit]
         ]
         if missing:
             raise IncompleteCategoryError(
                 f"{len(missing)} empty (digit, pos) cells, first few: {missing[:5]}"
             )
-        self.words_by_pos = tuple(tuple(table[(digit, pos)] for digit in DIGITS) for pos in PosClass)
+        self.words_by_pos = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
 
         digit_by_word = {}
         for digit in DIGITS:
@@ -102,7 +95,7 @@ class Lexicon:
 
 def load_lexicon(text: str) -> Lexicon:
     """Parse and validate lexicon text (see module docstring for the format)."""
-    cells: dict[tuple[int, PosClass], set] = {}
+    cells = [[set() for _ in DIGITS] for _ in PosClass]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,18 +106,16 @@ def load_lexicon(text: str) -> Lexicon:
         digit_field, pos_field, word = (f.strip() for f in fields)
         if digit_field not in _DIGIT_FIELDS:
             raise LexiconParseError(f"line {lineno}: category must be a single digit 0-9, got {digit_field!r}")
-        try:
-            pos = PosClass(pos_field.lower())
-        except ValueError:
+        row = _POS_ROWS.get(pos_field.lower())
+        if row is None:
             raise LexiconParseError(
-                f"line {lineno}: unknown part of speech {pos_field!r} "
-                f"(expected one of {', '.join(p.value for p in PosClass)})"
-            ) from None
+                f"line {lineno}: unknown part of speech {pos_field!r} (expected one of {', '.join(_POS_ROWS)})"
+            )
         if not word:
             raise LexiconParseError(f"line {lineno}: empty word")
         if any(c.isspace() for c in word):
             raise LexiconParseError(f"line {lineno}: word {word!r} contains whitespace")
-        cells.setdefault((int(digit_field), pos), set()).add(word.lower())
+        cells[row][int(digit_field)].add(word.lower())
     return Lexicon(cells)
 
 

@@ -29,7 +29,6 @@ def bytes_to_bits(payload: bytes) -> np.ndarray:
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:
     """Inverse of bytes_to_bits; the bit count must be a multiple of 8."""
-    bits = np.asarray(bits, dtype=np.uint8)
     if bits.size % 8:
         raise NotByteAlignedError(f"{bits.size} bits is not a whole number of bytes")
     return np.packbits(bits).tobytes()
@@ -37,7 +36,6 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
 
 def frame(bits: np.ndarray) -> np.ndarray:
     """Prepend a 32-bit big-endian bit-count header to `bits`."""
-    bits = np.asarray(bits, dtype=np.uint8)
     if bits.size >= 1 << 32:
         raise OversizeError(f"{bits.size} bits cannot be described by a 32-bit header")
     return np.concatenate([bytes_to_bits(struct.pack(">I", bits.size)), bits])
@@ -49,7 +47,6 @@ def unframe(bits: np.ndarray) -> np.ndarray:
     Up to two trailing chunk-padding bits after the declared length are
     the caller's business; anything shorter than declared is corrupt.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < HEADER_BITS:
         raise HeaderCorruptError(f"only {bits.size} bits, the length header needs {HEADER_BITS}")
     (declared,) = struct.unpack(">I", bits_to_bytes(bits[:HEADER_BITS]))
@@ -66,7 +63,6 @@ def chunk(bits: np.ndarray) -> np.ndarray:
 
     Returns a uint8 array of values 0-7, ceil(len/3) long.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
     pad = -bits.size % CHUNK_BITS
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
@@ -79,7 +75,6 @@ def unchunk(chunks: np.ndarray, bit_length: int) -> np.ndarray:
     `bit_length` must leave 0-2 padding bits in the final chunk,
     otherwise the chunk count cannot have come from chunk().
     """
-    chunks = np.asarray(chunks, dtype=np.uint8)
     slack = CHUNK_BITS * chunks.size - bit_length
     if bit_length < 0 or not 0 <= slack < CHUNK_BITS:
         raise LengthMismatchError(

@@ -46,10 +46,9 @@ class GridGeometry:
 
         The digit tuples of 0, 1, 2, ... in order are exactly the
         lexicographic product of range(10), so the table costs
-        O(max(width, height)), not O(total_samples).
+        O(width), not O(total_samples); height <= width always holds.
         """
-        values = max(self.width, self.height)
-        return tuple(islice(product(range(10), repeat=self.digit_width), values))
+        return tuple(islice(product(range(10), repeat=self.digit_width), self.width))
 
     def digits_for(self, index: int) -> list[int]:
         """The 2 x digit_width decimal digits encoding a sample's coordinates."""
@@ -84,7 +83,7 @@ def geometry(n: int) -> GridGeometry:
         raise ZeroSamplesError("cannot lay a grid over zero samples")
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) without float rounding
     height = -(-n // width)
-    digit_width = max(1, len(str(max(width - 1, height - 1))))
+    digit_width = len(str(width - 1))  # height <= width, so x needs no more digits than y
     return GridGeometry(n, width, height, digit_width)
 
 

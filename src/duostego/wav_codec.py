@@ -34,6 +34,8 @@ _U32 = struct.Struct("<I")
 class AudioClip:
     """Decoded 16-bit PCM audio: format metadata plus raw sample patterns.
 
+    A clip built in code meets the fmt limits of a parsed one: a rate
+    or channel count write_wav cannot emit raises UnsupportedCodecError.
     ``samples`` is a read-only uint16 array in file interleave order.
     It shares memory with the array given (which stays writable to its
     owner): a copy would double every carrier-sized peak. A parsed clip
@@ -47,10 +49,10 @@ class AudioClip:
     trailing_chunks: tuple[tuple[bytes, bytes], ...] = ()
 
     def __post_init__(self):
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.channel_count < 1:
-            raise ValueError(f"channel_count must be positive, got {self.channel_count}")
+        rate, channels = self.sample_rate, self.channel_count
+        block_align = channels * BYTES_PER_SAMPLE  # a 16-bit fmt field; the byte rate is 32-bit
+        if not (0 < block_align <= 0xFFFF and 0 < rate * block_align < 1 << 32):
+            raise UnsupportedCodecError(f"{channels} channels at {rate} Hz do not fit the fmt chunk")
         arr = np.ascontiguousarray(self.samples, dtype=np.uint16).view()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -134,14 +136,6 @@ def parse_wav(data: bytes) -> AudioClip:
         raise UnsupportedCodecError(f"format tag {tag}, only integer PCM (1) is supported")
     if bits != 16:
         raise UnsupportedDepthError(f"{bits} bits per sample, only 16 is supported")
-    if channels < 1:
-        raise UnsupportedCodecError("fmt chunk declares zero channels")
-    if rate < 1:
-        raise UnsupportedCodecError("fmt chunk declares a zero sample rate")
-    if channels * BYTES_PER_SAMPLE > 0xFFFF or rate * channels * BYTES_PER_SAMPLE >= 1 << 32:
-        raise UnsupportedCodecError(
-            f"{channels} channels at {rate} Hz overflow the fmt chunk's block-align or byte-rate field"
-        )
     if len(data_body) % BYTES_PER_SAMPLE:
         raise TruncatedError(
             f"data chunk length {len(data_body)} is odd; a 16-bit sample is cut off"

@@ -8,7 +8,7 @@ from duostego.errors import (
     LexiconParseError,
     UnknownWordError,
 )
-from duostego.lexicon import Lexicon, PosClass, load_lexicon
+from duostego.lexicon import PosClass, load_lexicon
 
 from conftest import REFERENCE_PLACEMENTS, make_lexicon_text, words_for
 
@@ -40,6 +40,34 @@ class TestLoading:
             load_lexicon("\n".join(lines))
         assert "7" in str(err.value)
 
+    def test_empty_cells_reported_digit_major(self):
+        dropped = ("3|noun|", "0|verb|", "3|det|", "5|propernoun|", "1|pronoun|", "8|verb|", "0|det|")
+        lines = [line for line in make_lexicon_text().splitlines() if not line.startswith(dropped)]
+        with pytest.raises(IncompleteCategoryError) as err:
+            load_lexicon("\n".join(lines))
+        assert str(err.value) == (
+            "7 empty (digit, pos) cells, first few: "
+            "[(0, 'det'), (0, 'verb'), (1, 'pronoun'), (3, 'det'), (3, 'noun')]"
+        )
+
+    def test_first_duplicate_in_digit_major_order_reported(self):
+        # "tree" meets its second category (5) before "walk" meets its (7)
+        text = make_lexicon_text(
+            extra=[
+                (7, PosClass.NOUN, "walk"),
+                (2, PosClass.VERB, "Walk"),
+                (5, PosClass.DET, "tree"),
+                (1, PosClass.PROPER_NOUN, "tree"),
+            ]
+        )
+        with pytest.raises(DuplicateWordError) as err:
+            load_lexicon(text)
+        assert (err.value.word, err.value.first_category, err.value.second_category) == ("tree", 1, 5)
+
+    def test_case_variants_fold_to_one_word(self):
+        text = make_lexicon_text(extra=[(4, PosClass.NOUN, "Dance"), (4, PosClass.NOUN, "dance")])
+        assert words_for(load_lexicon(text), 4, PosClass.NOUN) == ("dance", "noun4x0", "noun4x1")
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + make_lexicon_text() + "\n   \n# the end\n"
         load_lexicon(text)
@@ -62,22 +90,6 @@ class TestLoading:
     def test_malformed_lines(self, line):
         with pytest.raises(LexiconParseError):
             load_lexicon(make_lexicon_text() + line + "\n")
-
-    @pytest.mark.parametrize(
-        "key",
-        [(10, PosClass.NOUN), (-1, PosClass.VERB), ("3", PosClass.DET), (3, "noun")],
-    )
-    def test_cells_outside_the_table_rejected(self, key):
-        # no lexicon file can state such a cell (load_lexicon reads only the
-        # digits 0-9 and the six tags), so Lexicon must not keep one either
-        cells = {}
-        for line in make_lexicon_text().splitlines():
-            digit, pos, word = line.split("|")
-            cells.setdefault((int(digit), PosClass(pos)), set()).add(word)
-        cells[key] = {"zzzq"}
-        with pytest.raises(LexiconParseError) as err:
-            Lexicon(cells)
-        assert repr(key) in str(err.value)
 
     def test_same_word_two_pos_same_category_allowed(self):
         text = make_lexicon_text(

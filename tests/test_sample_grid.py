@@ -41,6 +41,7 @@ class TestGeometry:
         assert (g.width - 1) ** 2 < n <= g.width**2
         assert (g.height - 1) * g.width < n <= g.height * g.width
         assert g.width * g.height >= n == g.total_samples
+        assert g.height <= g.width
         assert g.digit_width == max(1, len(str(max(g.width, g.height) - 1)))
 
 
@@ -118,7 +119,7 @@ class TestCoordinates:
         # one entry per coordinate value, not per sample
         g = geometry(5_292_000)
         g.digits_for(0)
-        assert len(g._coord_digits) == max(g.width, g.height) == 2301
+        assert len(g._coord_digits) == g.width == 2301
 
     def test_digits_for_out_of_range(self):
         with pytest.raises(OutOfRangeError):

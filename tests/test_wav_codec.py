@@ -191,10 +191,22 @@ class TestClipInvariants:
         assert np.shares_memory(clip.samples, arr)  # a view, never a copy
 
     def test_bad_metadata_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedCodecError):
             AudioClip(0, 1, np.zeros(1, dtype=np.uint16))
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedCodecError):
             AudioClip(8000, 0, np.zeros(1, dtype=np.uint16))
+
+    @pytest.mark.parametrize("channels,rate", [(2, 3_000_000_000), (40_000, 8000)])
+    def test_fmt_write_wav_cannot_hold_rejected_in_code(self, channels, rate):
+        # the clip itself refuses what write_wav's fmt fields cannot hold,
+        # so write_wav is never reached with it (no struct.error)
+        with pytest.raises(UnsupportedCodecError):
+            AudioClip(rate, channels, np.zeros(4, dtype=np.uint16))
+
+    @pytest.mark.parametrize("channels,rate", [(32_767, 8000), (1, (1 << 31) - 1)])
+    def test_largest_clip_built_in_code_writes(self, channels, rate):
+        clip = AudioClip(rate, channels, np.zeros(4, dtype=np.uint16))
+        assert parse_wav(write_wav(clip)) == clip
 
     def test_with_samples_replaces_only_samples(self):
         clip = clip_of([1, 2], trailing=((b"cue ", b"abcd"),))
