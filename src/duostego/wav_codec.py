@@ -10,6 +10,7 @@ The data chunk itself round-trips byte for byte.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -35,7 +36,9 @@ class AudioClip:
     """Decoded 16-bit PCM audio: format metadata plus raw sample patterns.
 
     A clip built in code meets the fmt limits of a parsed one: a rate
-    or channel count write_wav cannot emit raises UnsupportedCodecError.
+    or channel count write_wav cannot emit, or one that is not an
+    integer, raises UnsupportedCodecError. Integer types such as numpy's
+    are stored as int.
     ``samples`` is a read-only uint16 array in file interleave order.
     It shares memory with the array given (which stays writable to its
     owner): a copy would double every carrier-sized peak. A parsed clip
@@ -49,12 +52,20 @@ class AudioClip:
     trailing_chunks: tuple[tuple[bytes, bytes], ...] = ()
 
     def __post_init__(self):
-        rate, channels = self.sample_rate, self.channel_count
+        try:
+            rate, channels = operator.index(self.sample_rate), operator.index(self.channel_count)
+        except TypeError:
+            raise UnsupportedCodecError(
+                f"rate {self.sample_rate!r} and channel count {self.channel_count!r} "
+                "must be integers"
+            ) from None
         block_align = channels * BYTES_PER_SAMPLE  # a 16-bit fmt field; the byte rate is 32-bit
         if not (0 < block_align <= 0xFFFF and 0 < rate * block_align < 1 << 32):
             raise UnsupportedCodecError(f"{channels} channels at {rate} Hz do not fit the fmt chunk")
         arr = np.ascontiguousarray(self.samples, dtype=np.uint16).view()
         arr.setflags(write=False)
+        object.__setattr__(self, "sample_rate", rate)
+        object.__setattr__(self, "channel_count", channels)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "trailing_chunks", tuple(self.trailing_chunks))
 

@@ -271,12 +271,18 @@ class TestUncover:
 
 
 # Equal-length sample and mask arrays; each stego sample is the original
-# XOR its mask: zero, a 3-LSB change or anything.
+# XOR its mask: zero, a 3-LSB change or anything. Half the masks are
+# sparse (zeros with a few nonzero entries), so a block of 1-7 samples
+# may hold no change, a few or nothing but changes, and the kernel's
+# gathered and whole-block branches both run.
 _masks = st.one_of(st.just(0), st.integers(0, 7), st.integers(0, 0xFFFF))
 _clip_pairs = st.integers(0, 100).flatmap(
     lambda n: st.tuples(
         arrays(np.uint16, n, elements=st.one_of(st.just(0), st.integers(0, 0xFFFF))),
-        arrays(np.uint16, n, elements=_masks),
+        st.one_of(
+            arrays(np.uint16, n, elements=_masks),
+            arrays(np.uint16, n, elements=_masks, fill=st.just(0)),
+        ),
     )
 )
 
@@ -329,8 +335,41 @@ class TestDistortionReport:
         assert report.mean_abs_delta == 0.0
         assert report.snr_db == math.inf
 
+    def test_sign_wrap(self):
+        report = distortion_report(clip_of([0x7FFF]), clip_of([0x8000]))
+        assert report.max_abs_delta == 1
+        assert report.mean_abs_delta == 1.0
+        # the signed amplitude jumps from 32767 to -32768
+        assert report.snr_db == 10.0 * math.log10(32767**2 / 65535**2)
+
+    def test_worst_case_block_is_exact(self):
+        # The largest |noise| in every sample of one full block: the
+        # biggest power sum a block can hold.
+        original = np.full(pipeline._BLOCK, 0x8000, np.uint16)
+        stego = np.full(pipeline._BLOCK, 0x7FFF, np.uint16)
+        report = distortion_report(clip_of(original), clip_of(stego))
+        assert (
+            report.samples_changed,
+            report.max_abs_delta,
+            report.mean_abs_delta,
+            report.snr_db,
+        ) == distortion_oracle(original, stego)
+
+    def test_block_power_sums_fit_int64(self):
+        # A block sums at most _BLOCK squares of |noise| <= 0xFFFF; past
+        # 2**63 the int64 dots would wrap silently.
+        assert pipeline._BLOCK * 0xFFFF**2 < 2**63
+
     @given(_clip_pairs, st.integers(1, 7))
     @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2)  # -inf dB
+    @example((np.array([0x7FFF], np.uint16), np.array([0xFFFF], np.uint16)), 1)  # sign wrap
+    @example(  # the sign wrap alone in a block of 7: the gathered branch
+        (
+            np.array([0, 0, 0, 0x7FFF, 0, 0, 0], np.uint16),
+            np.array([0, 0, 0, 0xFFFF, 0, 0, 0], np.uint16),
+        ),
+        7,
+    )
     @settings(max_examples=200)
     def test_blocks_match_whole_array_oracle(self, clips, block):
         original, masks = clips
@@ -347,14 +386,24 @@ class TestDistortionReport:
         assert report.mean_abs_delta == (abs_sum / n if n else 0.0)
         assert report.mean_abs_delta == pytest.approx(mean_delta, rel=1e-12)
 
-    def test_peak_memory_bounded(self):
-        # Three full 2**20-sample blocks and a ragged one. The whole-array
-        # int64 formula (oracles.distortion_oracle) peaks near 150 MB here.
+    @staticmethod
+    def _peak_when_every(stride):
+        """Peak bytes of distortion_report when every stride-th sample changed."""
+        # 48 full blocks and a ragged one. The whole-array int64 formula
+        # (oracles.distortion_oracle) peaks near 150 MB here.
         original = random_carrier(3 * (1 << 20) + 5, seed=33)
-        stego = original.with_samples(original.samples ^ np.uint16(5))
+        masks = np.zeros(original.sample_count, np.uint16)
+        masks[::stride] = 5
+        stego = original.with_samples(original.samples ^ masks)
         report, peak = traced_peak(distortion_report, original, stego)
-        assert report.samples_changed == original.sample_count
-        assert peak < 48 * 2**20
+        assert report.samples_changed == masks[::stride].size
+        return peak
+
+    def test_peak_memory_bounded(self):
+        assert self._peak_when_every(1) < 8 * 2**20  # whole-block branch
+
+    def test_sparse_peak_memory_bounded(self):
+        assert self._peak_when_every(10_000) < 4 * 2**20  # gathered branch
 
 
 @pytest.fixture(scope="module")

@@ -196,6 +196,19 @@ class TestClipInvariants:
         with pytest.raises(UnsupportedCodecError):
             AudioClip(8000, 0, np.zeros(1, dtype=np.uint16))
 
+    @pytest.mark.parametrize("channels,rate", [(1, 8000.5), (1, "8000"), (1.0, 8000), ("2", 8000)])
+    def test_non_integer_metadata_rejected(self, channels, rate):
+        # a float or str would pass the range check and then reach
+        # write_wav's struct.pack as a bare struct.error
+        with pytest.raises(UnsupportedCodecError):
+            AudioClip(rate, channels, np.zeros(2, dtype=np.uint16))
+
+    def test_numpy_integer_metadata_stored_as_int(self):
+        clip = AudioClip(np.uint32(8000), np.int64(2), np.zeros(2, dtype=np.uint16))
+        assert (clip.sample_rate, clip.channel_count) == (8000, 2)
+        assert type(clip.sample_rate) is int and type(clip.channel_count) is int
+        assert parse_wav(write_wav(clip)) == clip
+
     @pytest.mark.parametrize("channels,rate", [(2, 3_000_000_000), (40_000, 8000)])
     def test_fmt_write_wav_cannot_hold_rejected_in_code(self, channels, rate):
         # the clip itself refuses what write_wav's fmt fields cannot hold,
