@@ -25,7 +25,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .lexicon import Lexicon, PosClass
-from .rng import SplitMix64
+from .rng import GAMMA, MASK64, MIX1, MIX2, RANGE64
 
 # fmt: off
 PRODUCTIONS: tuple[tuple[str, tuple], ...] = (
@@ -96,15 +96,35 @@ class Grammar:
         """
         if not digits:
             raise ValueError("cannot generate a sentence for zero digits")
-        skeletons = _skeletons(len(digits))
-        below = SplitMix64(seed).below
-        skeleton = skeletons[below(len(skeletons))]
         cells = lexicon.words_by_pos
-        tokens = []
-        for digit, pos in zip(digits, skeleton):
-            words = cells[pos][digit]
-            tokens.append(words[below(len(words))])
-        return tokens
+        skeleton = None
+        tokens: list[str] = []
+        # The first draw picks the skeleton, each later one the next word.
+        # The draws are SplitMix64(seed).below(len(options)) in turn, with
+        # the generator step and below's rejection rule written out on a
+        # local state: this runs for every sentence of a cover, where a
+        # method call per draw would dominate it.
+        options = _skeletons(len(digits))
+        state = seed & MASK64
+        while True:
+            bound = len(options)
+            limit = RANGE64 - RANGE64 % bound
+            while True:
+                state = (state + GAMMA) & MASK64
+                z = ((state ^ (state >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            pick = options[z % bound]
+            if skeleton is None:
+                skeleton = pick
+            else:
+                tokens.append(pick)
+            i = len(tokens)
+            if i == len(digits):
+                return tokens
+            options = cells[skeleton[i]][digits[i]]
 
 
 def decode_sentence(lexicon: Lexicon, tokens: Iterable[str]) -> list[int]:

@@ -50,13 +50,13 @@ class GridGeometry:
         """
         return tuple(islice(product(range(10), repeat=self.digit_width), self.width))
 
-    def digits_for(self, index: int) -> list[int]:
-        """The 2 x digit_width decimal digits encoding a sample's coordinates."""
+    def digits_for(self, index: int) -> tuple[int, ...]:
+        """The 2 x digit_width decimal digits encoding a sample's coordinates, x's first."""
         if not 0 <= index < self.total_samples:
             raise OutOfRangeError(f"sample index {index} outside [0, {self.total_samples})")
         x, y = divmod(index, self.width)
         table = self._coord_digits
-        return [*table[x], *table[y]]
+        return table[x] + table[y]
 
     def index_from_digits(self, digits: Sequence[int]) -> int:
         """Inverse of digits_for; raises CoordinateOutOfRangeError off-grid."""
@@ -92,7 +92,8 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
 
     Deterministic for a fixed seed (SplitMix64-driven partial
     Fisher-Yates, sparse so cost is O(m) regardless of n). The order is
-    itself a uniform random m-permutation of the n indices.
+    itself a uniform random m-permutation of the n indices. Step t swaps
+    in the draw below(n - t); below_many makes those draws in blocks.
     """
     if m > n:
         raise CapacityExceededError(f"cannot select {m} distinct samples from {n}")
@@ -100,11 +101,11 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
         raise ValueError(f"selection count must be non-negative, got {m}")
     if not 0 <= seed < 1 << 64:
         raise OutOfRangeError(f"seed {seed} outside [0, 2**64)")
-    below = SplitMix64(seed).below
+    draws = SplitMix64(seed).below_many(range(n, n - m, -1))
     displaced: dict[int, int] = {}
     out = []
-    for t in range(m):
-        j = t + below(n - t)
+    for t, draw in enumerate(draws):
+        j = t + draw
         out.append(displaced.get(j, j))
         displaced[j] = displaced.get(t, t)
     return out

@@ -9,7 +9,13 @@
   strings;
 * distortion_oracle(): the distortion statistics as whole-array int64
   arithmetic, the formula pipeline.distortion_report used before it
-  went block-wise.
+  went block-wise;
+* select_samples_oracle() and generate_sentence_oracle(): sample
+  selection and sentence generation with one scalar SplitMix64.below
+  call per draw, as the package made them before its draws went
+  block-wise and inline;
+* _seed_whose_first_output_is(): a seed chosen through the inverse of
+  SplitMix64's output function, to force a given raw draw.
 """
 
 import math
@@ -18,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from duostego.grammar import PRODUCTIONS, START
-from duostego.lexicon import PosClass
+from duostego.grammar import PRODUCTIONS, START, _skeletons
+from duostego.lexicon import Lexicon, PosClass
+from duostego.rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
 
 ORACLE_RULES = {
     "S": [["NP", "VP"], ["VP"]],
@@ -127,3 +134,46 @@ def distortion_oracle(original: np.ndarray, stego: np.ndarray):
     signal_power = int(np.sum(signal * signal))
     snr = 10.0 * math.log10(signal_power / noise_power) if signal_power else -math.inf
     return changed, max_delta, mean_delta, snr
+
+
+def select_samples_oracle(n: int, m: int, seed: int) -> list[int]:
+    """Sparse partial Fisher-Yates, one scalar below(n - t) per step t."""
+    below = SplitMix64(seed).below
+    displaced: dict[int, int] = {}
+    out = []
+    for t in range(m):
+        j = t + below(n - t)
+        out.append(displaced.get(j, j))
+        displaced[j] = displaced.get(t, t)
+    return out
+
+
+def generate_sentence_oracle(lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
+    """One below() draw for the skeleton, then one per word."""
+    skeletons = _skeletons(len(digits))
+    below = SplitMix64(seed).below
+    skeleton = skeletons[below(len(skeletons))]
+    cells = lexicon.words_by_pos
+    tokens = []
+    for digit, pos in zip(digits, skeleton):
+        words = cells[pos][digit]
+        tokens.append(words[below(len(words))])
+    return tokens
+
+
+def _unshift_xor(z: int, shift: int) -> int:
+    """Inverse of z ^ (z >> shift) on 64-bit values."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _seed_whose_first_output_is(z: int) -> int:
+    """Invert the published SplitMix64 output function for the first draw."""
+    z = _unshift_xor(z, 31)
+    z = (z * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = _unshift_xor(z, 27)
+    z = (z * pow(MIX1, -1, 1 << 64)) & MASK64
+    state = _unshift_xor(z, 30)
+    return (state - GAMMA) & MASK64

@@ -18,6 +18,14 @@ from duostego import DEFAULT_GRAMMAR, cover, geometry, select_samples, uncover, 
 from duostego.rng import SplitMix64
 from duostego.wav_codec import AudioClip
 
+from conftest import words_for
+from oracles import _seed_whose_first_output_is
+
+
+def _rejection_limit(bound: int) -> int:
+    """The smallest raw draw that below(bound) rejects."""
+    return (1 << 64) - (1 << 64) % bound
+
 
 def test_splitmix64_reference_outputs():
     # The published reference outputs of SplitMix64 at seed 1234567.
@@ -63,28 +71,6 @@ def test_below_known_answers(bound, expected, raw_draws):
     assert rng.next64() == reference.next64()
 
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _unshift_xor(z: int, shift: int) -> int:
-    """Inverse of z ^ (z >> shift) on 64-bit values."""
-    x = z
-    for _ in range(64 // shift + 1):
-        x = z ^ (x >> shift)
-    return x
-
-
-def _seed_whose_first_output_is(z: int) -> int:
-    """Invert the published SplitMix64 output function for the first draw."""
-    z = _unshift_xor(z, 31)
-    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
-    z = _unshift_xor(z, 27)
-    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
-    state = _unshift_xor(z, 30)
-    return (state - _GOLDEN) & _MASK64
-
-
 @pytest.mark.parametrize("bound", [7, 8, 282, 2**40, 2**63 + 1, 3 * 2**62, 2**64 - 1])
 def test_below_rejection_limit(bound):
     # A raw draw is kept iff it lies under the largest multiple of bound
@@ -124,6 +110,17 @@ def test_select_samples_known_answers(n, m, seed, expected):
     assert select_samples(n, m, seed) == expected
 
 
+def test_select_samples_known_answer_through_a_rejection():
+    # The seed's fourth raw draw is the smallest one that below(997) rejects,
+    # so shuffle step 3 (bound 1000 - 3) takes the raw draw after it.
+    seed = 11276121638811354316
+    rng = SplitMix64(seed)
+    raw = [rng.next64() for _ in range(4)]
+    assert raw[3] == _rejection_limit(997)
+    assert all(z < _rejection_limit(1000 - t) for t, z in enumerate(raw[:3]))
+    assert select_samples(1000, 8, seed) == [453, 467, 207, 296, 166, 617, 532, 951]
+
+
 @pytest.mark.parametrize(
     "digits, seed, expected",
     [
@@ -142,6 +139,40 @@ def test_select_samples_known_answers(n, m, seed, expected):
 )
 def test_generate_sentence_known_answers(default_lexicon, digits, seed, expected):
     assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, list(digits), seed) == expected
+
+
+@pytest.mark.parametrize(
+    "digits, seed, rejected_row, expected",
+    [
+        # Raw draw 0, the skeleton draw over 282 skeletons, is rejected.
+        (
+            (2, 2, 9, 9, 2, 0, 0, 0),
+            15174537778894032359,
+            0,
+            ["break", "these", "violin", "queen", "girl", "river", "from", "mary"],
+        ),
+        # Raw draw 5, the draw of the fifth word from a 7-word cell, is rejected.
+        (
+            (0, 1, 9, 4, 0, 3, 0, 7),
+            4033948046686266798,
+            5,
+            ["this", "story", "pen", "garden", "about", "denver", "spoon", "dream"],
+        ),
+    ],
+)
+def test_generate_sentence_known_answers_through_a_rejection(
+    default_lexicon, digits, seed, rejected_row, expected
+):
+    rng = SplitMix64(seed)
+    raw = [rng.next64() for _ in range(rejected_row + 1)]
+    skeletons = DEFAULT_GRAMMAR.skeletons_of_length(len(digits))
+    bounds = [len(skeletons)]
+    if rejected_row:
+        skeleton = skeletons[raw[0] % len(skeletons)]
+        bounds += [len(words_for(default_lexicon, d, pos)) for d, pos in zip(digits, skeleton)]
+    assert raw[rejected_row] == _rejection_limit(bounds[rejected_row])
+    assert all(z < _rejection_limit(b) for z, b in zip(raw[:rejected_row], bounds))
+    assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, digits, seed) == expected
 
 
 # The skeleton order is wire format: generate_sentence picks a skeleton by
@@ -173,12 +204,12 @@ def test_skeleton_order_known_answers(length, count, digest):
 @pytest.mark.parametrize(
     "n, index, digits",
     [
-        (1, 0, [0, 0]),
-        (101, 100, [0, 9, 0, 1]),
-        (1000, 999, [3, 1, 0, 7]),
-        (80_000, 12345, [0, 4, 3, 1, 7, 6]),
-        (1_000_000, 206318, [2, 0, 6, 3, 1, 8]),
-        (5_292_000, 5_291_999, [2, 2, 9, 9, 2, 0, 0, 0]),
+        (1, 0, (0, 0)),
+        (101, 100, (0, 9, 0, 1)),
+        (1000, 999, (3, 1, 0, 7)),
+        (80_000, 12345, (0, 4, 3, 1, 7, 6)),
+        (1_000_000, 206318, (2, 0, 6, 3, 1, 8)),
+        (5_292_000, 5_291_999, (2, 2, 9, 9, 2, 0, 0, 0)),
     ],
 )
 def test_coordinate_digits_known_answers(n, index, digits):

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from duostego.errors import UnknownWordError
 from duostego.grammar import Grammar, decode_sentence
 from duostego.lexicon import PosClass, load_default_lexicon
 
 from conftest import words_for
-from oracles import oracle_skeletons, recognize
+from oracles import generate_sentence_oracle, oracle_skeletons, recognize
 
 P = PosClass
 
@@ -116,6 +116,14 @@ class TestGenerate:
         lexicon = _SESSION_LEXICON
         tokens = grammar.generate_sentence(lexicon, digits, seed)
         assert decode_sentence(lexicon, tokens) == digits
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=8), st.integers(0, 2**64 - 1))
+    @example(digits=[0], seed=0)
+    @example(digits=[9] * 8, seed=2**64 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_oracle(self, digits, seed):
+        tokens = Grammar().generate_sentence(_SESSION_LEXICON, digits, seed)
+        assert tokens == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
 
 
 class TestDecode:

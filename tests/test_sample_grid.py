@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from duostego.errors import (
@@ -13,7 +13,7 @@ from duostego.errors import (
 )
 from duostego.sample_grid import embed_chunks, extract_chunks, geometry, select_samples
 
-from oracles import embed_oracle
+from oracles import embed_oracle, select_samples_oracle
 
 
 class TestGeometry:
@@ -28,7 +28,7 @@ class TestGeometry:
     def test_million_samples_gives_three_digit_coords(self):
         g = geometry(1_000_000)
         assert (g.width, g.height, g.digit_width) == (1000, 1000, 3)
-        assert g.digits_for(206 * 1000 + 318) == [2, 0, 6, 3, 1, 8]
+        assert g.digits_for(206 * 1000 + 318) == (2, 0, 6, 3, 1, 8)
 
     def test_zero_samples(self):
         with pytest.raises(ZeroSamplesError):
@@ -48,12 +48,12 @@ class TestGeometry:
 class TestCoordinates:
     def test_origin(self):
         g = geometry(1000)
-        assert g.digits_for(0) == [0, 0, 0, 0]
+        assert g.digits_for(0) == (0, 0, 0, 0)
         assert g.index_from_digits([0, 0, 0, 0]) == 0
 
     def test_row_major(self):
         g = geometry(1000)
-        assert g.digits_for(65) == [0, 2, 0, 1]  # 65 = 2*32 + 1
+        assert g.digits_for(65) == (0, 2, 0, 1)  # 65 = 2*32 + 1
         assert g.index_from_digits([0, 2, 0, 1]) == 65
 
     def test_out_of_range(self):
@@ -75,7 +75,7 @@ class TestCoordinates:
         x = data.draw(st.integers(0, g.height - 1))
         y = data.draw(st.integers(0, g.width - 1 if x < g.height - 1 else (n - 1) % g.width))
         d = g.digit_width
-        digits = [int(c) for c in f"{x:0{d}d}{y:0{d}d}"]
+        digits = tuple(int(c) for c in f"{x:0{d}d}{y:0{d}d}")
         assert g.index_from_digits(digits) == x * g.width + y < n
         assert g.digits_for(x * g.width + y) == digits
 
@@ -97,7 +97,7 @@ class TestCoordinates:
 
     def test_digits_zero_padded(self):
         g = geometry(1_000_000)
-        assert g.digits_for(15) == [0, 0, 0, 0, 1, 5]
+        assert g.digits_for(15) == (0, 0, 0, 0, 1, 5)
 
     @given(st.integers(1, 10**7), st.data())
     def test_digit_round_trip(self, n, data):
@@ -113,7 +113,7 @@ class TestCoordinates:
         i = data.draw(st.integers(0, n - 1))
         x, y = divmod(i, g.width)
         d = g.digit_width
-        assert g.digits_for(i) == [int(c) for c in f"{x:0{d}d}{y:0{d}d}"]
+        assert g.digits_for(i) == tuple(int(c) for c in f"{x:0{d}d}{y:0{d}d}")
 
     def test_digit_table_is_per_coordinate(self):
         # one entry per coordinate value, not per sample
@@ -172,6 +172,17 @@ class TestSelection:
     def test_seed_range_ends_accepted(self, seed):
         picked = select_samples(100, 5, seed)
         assert len(set(picked)) == 5
+
+    @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 8193])
+    @given(seed=st.integers(0, 2**64 - 1), spare=st.integers(0, 10**9))
+    @example(seed=0, spare=0)
+    @example(seed=2**64 - 1, spare=0)
+    @settings(max_examples=10, deadline=None)
+    def test_matches_scalar_oracle(self, m, seed, spare):
+        # spare = 0 selects every sample (m = n); the m values cross the
+        # edges of the blocks in which the draws are made.
+        n = m + spare
+        assert select_samples(n, m, seed) == select_samples_oracle(n, m, seed)
 
 
 def all_selected(*samples):
