@@ -3,13 +3,13 @@
 Fourteen production rules over five nonterminals generate every
 sentence shape this package emits; the terminals are the six
 part-of-speech classes, and the lexicon supplies the actual words.
-skeletons_of_length() lists every derivable part-of-speech sequence of
-an exact length, from one memoized derivation, _derivable(symbol,
-length), which cuts `length` into one positive share per right-hand
-side symbol; a share that symbol cannot derive just adds nothing. No
-rule derives the empty string and the unit rules (S -> VP, VP -> VERB,
-...) form no cycle, so every recursive call is on a shorter length or
-lower in the unit-rule order, and the recursion ends.
+_skeletons() lists every derivable part-of-speech sequence of an exact
+length, from one memoized derivation, _derivable(symbol, length),
+which cuts `length` into one positive share per right-hand side symbol;
+a share that symbol cannot derive just adds nothing. No rule derives
+the empty string and the unit rules (S -> VP, VP -> VERB, ...) form no
+cycle, so every recursive call is on a shorter length or lower in the
+unit-rule order, and the recursion ends.
 generate_sentence() realizes a digit sequence as words, one word per
 digit, picking skeleton and words from a seeded stream.
 
@@ -76,23 +76,13 @@ def _skeletons(length: int) -> tuple[tuple[int, ...], ...]:
 class Grammar:
     """The fixed production set."""
 
-    def skeletons_of_length(self, length: int) -> tuple[tuple[PosClass, ...], ...]:
-        """All derivable part-of-speech sequences of exactly `length` terminals.
-
-        Ordered lexicographically by each class's position in PosClass.
-        """
-        if length < 1:
-            raise ValueError(f"length must be positive, got {length}")
-        classes = tuple(PosClass)
-        return tuple(tuple(classes[i] for i in skeleton) for skeleton in _skeletons(length))
-
     def generate_sentence(
         self, lexicon: Lexicon, digits: Sequence[int], seed: int
     ) -> list[str]:
         """Words realizing `digits`, one word per digit, seed-deterministic.
 
         Token i is drawn from lexicon category digits[i]; the tokens'
-        part-of-speech sequence is one of skeletons_of_length(len(digits)).
+        part-of-speech sequence is one of _skeletons(len(digits)).
         """
         if not digits:
             raise ValueError("cannot generate a sentence for zero digits")
@@ -100,10 +90,10 @@ class Grammar:
         skeleton = None
         tokens: list[str] = []
         # The first draw picks the skeleton, each later one the next word.
-        # The draws are SplitMix64(seed).below(len(options)) in turn, with
-        # the generator step and below's rejection rule written out on a
-        # local state: this runs for every sentence of a cover, where a
-        # method call per draw would dominate it.
+        # The draws are SplitMix64(seed) draws over len(options) in turn:
+        # the step, rng.mix and below_many's rejection rule written out on
+        # a local state, which test_matches_scalar_oracle checks. This runs
+        # for every sentence of a cover, where a call per draw dominates.
         options = _skeletons(len(digits))
         state = seed & MASK64
         while True:

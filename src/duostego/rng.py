@@ -8,15 +8,17 @@ is SplitMix64 (Steele, Lea & Flood 2014; also the seeding generator of
 java.util.SplittableRandom), chosen for its tiny state and trivially
 portable arithmetic.
 
-SplitMix64 is counter-based: its k-th output is mix(seed + k * GAMMA),
-so below_many computes a block of draws as numpy uint64 arrays instead
-of one call per draw. Wrapping uint64 arithmetic stays in arrays, which
-wrap silently; scalars stay Python ints, because a numpy scalar that
-wraps warns, and warnings are errors under `-W error`.
+SplitMix64 is counter-based: its k-th output is mix(seed + k * GAMMA).
+So one output function, mix, serves next64 on a Python int and
+below_many on a block of counters as a numpy uint64 array, where
+arithmetic wraps silently. Scalars stay Python ints, because a numpy
+scalar that wraps warns, and warnings are errors under `-W error`.
+A rejected draw restarts the block after it.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -35,58 +37,44 @@ _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 _STEPS.flags.writeable = False
 
 
+def mix(z):
+    """SplitMix64's output of counter z, an int in [0, 2**64) or a uint64 array."""
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
-    """SplitMix64 stream over a 64-bit seed."""
+    """SplitMix64 stream over a 64-bit seed (any integer type, taken mod 2**64)."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = operator.index(seed) & MASK64
 
     def next64(self) -> int:
         """Next raw 64-bit output."""
-        z = self._state = (self._state + GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), rejection-sampled to avoid modulo bias."""
-        if not 0 < bound <= RANGE64:
-            raise ValueError(f"bound must lie in [1, 2**64], got {bound}")
-        # Keep a raw draw only under the largest multiple of bound that
-        # fits in 64 bits; a rejected draw is replaced by the next one.
-        limit = RANGE64 - RANGE64 % bound
-        while True:
-            z = self.next64()
-            if z < limit:
-                return z % bound
+        self._state = (self._state + GAMMA) & MASK64
+        return mix(self._state)
 
     def below_many(self, bounds: range) -> Iterator[int]:
-        """Yields [self.below(b) for b in bounds], _BLOCK draws at a time.
+        """Uniform integers in [0, b) for each b in bounds, _BLOCK draws at a time.
 
-        Every bound must lie in [1, 2**64). Once exhausted, the stream is
-        where that loop would leave it. A block is drawn as if none of
-        its draws were rejected; from its first rejected row on, the
-        block is replayed through below. A draw z is rejected for bound
-        b when z - z % b > 2**64 - b, which is below's rule.
+        Every bound must lie in [1, 2**64). A raw draw z is kept for b iff
+        it lies under the largest multiple of b that fits in 64 bits, i.e.
+        iff z - z % b <= 2**64 - b. At a block's first rejected row the
+        state moves past the rejected draw, the rows before it are
+        yielded, and the next block starts at that row's bound.
         """
         if bounds and not 0 < min(bounds[0], bounds[-1]) <= max(bounds[0], bounds[-1]) < RANGE64:
             raise ValueError(f"bounds must lie in [1, 2**64), got {bounds}")
-        for start in range(0, len(bounds), _BLOCK):
-            block = bounds[start : start + _BLOCK]
+        while bounds:
+            block = bounds[:_BLOCK]
             b = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
-            z = _STEPS[: b.size] + np.uint64(self._state)
-            z ^= z >> 30
-            z *= MIX1
-            z ^= z >> 27
-            z *= MIX2
-            z ^= z >> 31
+            z = mix(_STEPS[: b.size] + np.uint64(self._state))
             values = z % b
-            z -= values
-            rejected = np.flatnonzero(z > -b)
-            kept = b.size if rejected.size == 0 else int(rejected[0])
-            self._state = (self._state + kept * GAMMA) & MASK64
+            rejected = np.flatnonzero(z - values > -b)
+            kept = int(rejected[0]) if rejected.size else b.size
+            self._state = (self._state + (kept + bool(rejected.size)) * GAMMA) & MASK64
             yield from values[:kept].tolist()
-            for bound in block[kept:]:
-                yield self.below(bound)
+            bounds = bounds[kept:]

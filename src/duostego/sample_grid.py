@@ -93,7 +93,7 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
     Deterministic for a fixed seed (SplitMix64-driven partial
     Fisher-Yates, sparse so cost is O(m) regardless of n). The order is
     itself a uniform random m-permutation of the n indices. Step t swaps
-    in the draw below(n - t); below_many makes those draws in blocks.
+    in a uniform draw from [0, n - t), one of below_many's block draws.
     """
     if m > n:
         raise CapacityExceededError(f"cannot select {m} distinct samples from {n}")

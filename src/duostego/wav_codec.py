@@ -39,7 +39,8 @@ class AudioClip:
     or channel count write_wav cannot emit, or one that is not an
     integer, raises UnsupportedCodecError. Integer types such as numpy's
     are stored as int.
-    ``samples`` is a read-only uint16 array in file interleave order.
+    ``samples`` is a read-only 1-D uint16 array in file interleave order;
+    any other shape raises UnsupportedCodecError.
     It shares memory with the array given (which stays writable to its
     owner): a copy would double every carrier-sized peak. A parsed clip
     views the file bytes. ``trailing_chunks`` holds any non-fmt, non-data
@@ -63,6 +64,8 @@ class AudioClip:
         if not (0 < block_align <= 0xFFFF and 0 < rate * block_align < 1 << 32):
             raise UnsupportedCodecError(f"{channels} channels at {rate} Hz do not fit the fmt chunk")
         arr = np.ascontiguousarray(self.samples, dtype=np.uint16).view()
+        if arr.ndim != 1:
+            raise UnsupportedCodecError(f"samples must be a 1-D interleaved array, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "channel_count", channels)

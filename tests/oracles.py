@@ -10,10 +10,14 @@
 * distortion_oracle(): the distortion statistics as whole-array int64
   arithmetic, the formula pipeline.distortion_report used before it
   went block-wise;
+* skeletons_of_length(): grammar._skeletons mapped back to PosClass
+  members, the form the grammar tests compare;
+* below(): one scalar draw in [0, bound) with SplitMix64's rejection
+  rule, the reference that below_many and generate_sentence's inline
+  loop must reproduce;
 * select_samples_oracle() and generate_sentence_oracle(): sample
-  selection and sentence generation with one scalar SplitMix64.below
-  call per draw, as the package made them before its draws went
-  block-wise and inline;
+  selection and sentence generation with one below() call per draw, as
+  the package made them before its draws went block-wise and inline;
 * _seed_whose_first_output_is(): a seed chosen through the inverse of
   SplitMix64's output function, to force a given raw draw.
 """
@@ -26,7 +30,7 @@ import numpy as np
 
 from duostego.grammar import PRODUCTIONS, START, _skeletons
 from duostego.lexicon import Lexicon, PosClass
-from duostego.rng import GAMMA, MASK64, MIX1, MIX2, SplitMix64
+from duostego.rng import GAMMA, MASK64, MIX1, MIX2, RANGE64, SplitMix64
 
 ORACLE_RULES = {
     "S": [["NP", "VP"], ["VP"]],
@@ -57,6 +61,12 @@ def oracle_skeletons(length):
                 seen.add(successor)
                 queue.append(successor)
     return done
+
+
+def skeletons_of_length(length: int) -> tuple[tuple[PosClass, ...], ...]:
+    """grammar._skeletons(length) with each PosClass index mapped to its member."""
+    classes = tuple(PosClass)
+    return tuple(tuple(classes[i] for i in skeleton) for skeleton in _skeletons(length))
 
 
 def _binarize():
@@ -136,13 +146,27 @@ def distortion_oracle(original: np.ndarray, stego: np.ndarray):
     return changed, max_delta, mean_delta, snr
 
 
+def below(rng: SplitMix64, bound: int) -> int:
+    """Uniform integer in [0, bound) from rng, for bound in [1, 2**64].
+
+    A raw draw is kept only under the largest multiple of bound that fits
+    in 64 bits, which avoids modulo bias; a rejected draw is replaced by
+    the next one.
+    """
+    limit = RANGE64 - RANGE64 % bound
+    while True:
+        z = rng.next64()
+        if z < limit:
+            return z % bound
+
+
 def select_samples_oracle(n: int, m: int, seed: int) -> list[int]:
     """Sparse partial Fisher-Yates, one scalar below(n - t) per step t."""
-    below = SplitMix64(seed).below
+    rng = SplitMix64(seed)
     displaced: dict[int, int] = {}
     out = []
     for t in range(m):
-        j = t + below(n - t)
+        j = t + below(rng, n - t)
         out.append(displaced.get(j, j))
         displaced[j] = displaced.get(t, t)
     return out
@@ -151,13 +175,13 @@ def select_samples_oracle(n: int, m: int, seed: int) -> list[int]:
 def generate_sentence_oracle(lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
     """One below() draw for the skeleton, then one per word."""
     skeletons = _skeletons(len(digits))
-    below = SplitMix64(seed).below
-    skeleton = skeletons[below(len(skeletons))]
+    rng = SplitMix64(seed)
+    skeleton = skeletons[below(rng, len(skeletons))]
     cells = lexicon.words_by_pos
     tokens = []
     for digit, pos in zip(digits, skeleton):
         words = cells[pos][digit]
-        tokens.append(words[below(len(words))])
+        tokens.append(words[below(rng, len(words))])
     return tokens
 
 

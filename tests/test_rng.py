@@ -1,8 +1,8 @@
-"""SplitMix64.below_many against the scalar below loop it replaces.
+"""SplitMix64.below_many against a loop of the scalar reference draw.
 
-below_many draws blocks of rows as uint64 arrays and replays a block
-through below from its first rejected row on. Every case compares both
-the values and the stream's state afterwards with the scalar loop.
+below_many draws blocks of rows as uint64 arrays and restarts a block
+after its first rejected row. Every case compares both the values and
+the stream's state afterwards with a loop of oracles.below.
 """
 
 import pytest
@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64
 
-from oracles import _seed_whose_first_output_is
+from oracles import _seed_whose_first_output_is, below
 
 TOP = RANGE64 - 1
 
 
 def _scalar(seed: int, bounds: range):
     rng = SplitMix64(seed)
-    return [rng.below(b) for b in bounds], rng._state
+    return [below(rng, b) for b in bounds], rng._state
 
 
 def _blocked(seed: int, bounds: range):
@@ -53,7 +53,7 @@ def test_selection_bounds_match_scalar_loop(length, seed, spare):
 @settings(max_examples=200, deadline=None)
 def test_any_bounds_match_scalar_loop(seed, first, step, length):
     # Large bounds reject up to half of all raw draws, so most blocks here
-    # fall back to the scalar replay, some at row 0.
+    # restart after a rejection, some at row 0.
     room = (TOP - first) // step if step > 0 else (first - 1) // -step
     bounds = range(first, first + min(length, room + 1) * step, step)
     assert _blocked(seed, bounds) == _scalar(seed, bounds)
@@ -96,8 +96,7 @@ def test_bounds_outside_the_range_rejected(bounds):
 
 
 def test_below_rejects_bounds_past_64_bits():
-    # No 64-bit draw lies under a multiple of such a bound, so the rejection
-    # loop would never end.
-    assert SplitMix64(1).below(RANGE64) < RANGE64
+    # Bounds are uint64 arrays, so 2**64 - 1 is the largest one.
+    assert next(SplitMix64(1).below_many(range(TOP, TOP + 1))) < TOP
     with pytest.raises(ValueError):
-        SplitMix64(1).below(RANGE64 + 1)
+        next(SplitMix64(1).below_many(range(RANGE64, RANGE64 + 1)))

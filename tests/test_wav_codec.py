@@ -190,6 +190,13 @@ class TestClipInvariants:
         assert not clip.samples.flags.writeable
         assert np.shares_memory(clip.samples, arr)  # a view, never a copy
 
+    @pytest.mark.parametrize("shape", [(5000, 2), (2, 3, 4), (1, 0)])
+    def test_multidimensional_samples_rejected(self, shape):
+        # cover and distortion_report index the samples as one interleaved
+        # row; a 2-D array would reach them as a stray IndexError
+        with pytest.raises(UnsupportedCodecError, match=rf"shape \({shape[0]}, {shape[1]}"):
+            AudioClip(8000, 2, np.zeros(shape, dtype=np.uint16))
+
     def test_bad_metadata_rejected(self):
         with pytest.raises(UnsupportedCodecError):
             AudioClip(0, 1, np.zeros(1, dtype=np.uint16))
