@@ -50,14 +50,12 @@ START = "S"
 
 _RULES = {lhs: [rhs for head, rhs in PRODUCTIONS if head == lhs] for lhs, _ in PRODUCTIONS}
 
-_POS_INDEX = {pos: i for i, pos in enumerate(PosClass)}
-
 
 @cache
 def _derivable(symbol, length: int) -> frozenset:
     """PosClass-index tuples of exactly `length` terminals that `symbol` derives."""
     if isinstance(symbol, PosClass):
-        return frozenset([(_POS_INDEX[symbol],)]) if length == 1 else frozenset()
+        return frozenset([(list(PosClass).index(symbol),)]) if length == 1 else frozenset()
     found = set()
     for rhs in _RULES[symbol]:
         for cuts in combinations(range(1, length), len(rhs) - 1):

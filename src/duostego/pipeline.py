@@ -39,7 +39,7 @@ _TEXT_STREAM_SALT = 0x74657874_73746567
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoBundle:
     """The two intermediates produced by cover(), plus the seed that made them."""
 

@@ -37,7 +37,6 @@ class GridGeometry:
 
     total_samples: int
     width: int
-    height: int
     digit_width: int
 
     @cached_property
@@ -82,9 +81,8 @@ def geometry(n: int) -> GridGeometry:
     if n < 1:
         raise ZeroSamplesError("cannot lay a grid over zero samples")
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) without float rounding
-    height = -(-n // width)
     digit_width = len(str(width - 1))  # height <= width, so x needs no more digits than y
-    return GridGeometry(n, width, height, digit_width)
+    return GridGeometry(n, width, digit_width)
 
 
 def select_samples(n: int, m: int, seed: int) -> list[int]:

@@ -35,16 +35,19 @@ _U32 = struct.Struct("<I")
 class AudioClip:
     """Decoded 16-bit PCM audio: format metadata plus raw sample patterns.
 
-    A clip built in code meets the fmt limits of a parsed one: a rate
-    or channel count write_wav cannot emit, or one that is not an
-    integer, raises UnsupportedCodecError. Integer types such as numpy's
-    are stored as int.
-    ``samples`` is a read-only 1-D uint16 array in file interleave order;
-    any other shape raises UnsupportedCodecError.
-    It shares memory with the array given (which stays writable to its
-    owner): a copy would double every carrier-sized peak. A parsed clip
-    views the file bytes. ``trailing_chunks`` holds any non-fmt, non-data
-    RIFF chunks as (chunk id, payload) byte pairs, kept verbatim.
+    A clip built in code meets the limits of a parsed one, so write_wav
+    turns every clip into a file parse_wav reads back. A rate or channel
+    count the fmt chunk cannot hold, or one that is not an integer,
+    raises UnsupportedCodecError; numpy integers are stored as int.
+    ``samples`` is a read-only 1-D uint16 array in file interleave order,
+    built from integers in [-32768, 65535] as their 16-bit patterns;
+    floats, other values and other shapes raise UnsupportedCodecError.
+    A uint16 or int16 array is viewed, not copied (a copy would double
+    every carrier-sized peak), and a parsed clip views the file bytes.
+    ``trailing_chunks`` holds the non-fmt, non-data RIFF chunks verbatim
+    as (4-byte id, body) bytes pairs; anything else raises
+    UnsupportedCodecError. Clips compare by identity: compare write_wav
+    output to compare contents.
     """
 
     sample_rate: int
@@ -63,14 +66,24 @@ class AudioClip:
         block_align = channels * BYTES_PER_SAMPLE  # a 16-bit fmt field; the byte rate is 32-bit
         if not (0 < block_align <= 0xFFFF and 0 < rate * block_align < 1 << 32):
             raise UnsupportedCodecError(f"{channels} channels at {rate} Hz do not fit the fmt chunk")
-        arr = np.ascontiguousarray(self.samples, dtype=np.uint16).view()
+        arr = np.asarray(self.samples)
+        wide = arr.size and arr.itemsize > 2  # every parsed clip is uint16 and skips the range pass
+        if arr.size and arr.dtype.kind not in "iu" or wide and not -0x8000 <= arr.min() <= arr.max() <= 0xFFFF:
+            raise UnsupportedCodecError(f"samples must be integers in [-32768, 65535], got {arr.dtype}")
         if arr.ndim != 1:
             raise UnsupportedCodecError(f"samples must be a 1-D interleaved array, got shape {arr.shape}")
+        arr = np.ascontiguousarray(arr, dtype=np.uint16).view()
         arr.setflags(write=False)
+        try:
+            chunks = tuple((bytes(memoryview(cid)), bytes(memoryview(body))) for cid, body in self.trailing_chunks)
+        except (TypeError, ValueError):
+            raise UnsupportedCodecError("trailing chunks must be (chunk id, body) pairs of bytes") from None
+        if any(len(cid) != 4 for cid, _ in chunks):
+            raise UnsupportedCodecError(f"chunk ids must be 4 bytes: {[cid for cid, _ in chunks]}")
         object.__setattr__(self, "sample_rate", rate)
         object.__setattr__(self, "channel_count", channels)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "trailing_chunks", tuple(self.trailing_chunks))
+        object.__setattr__(self, "trailing_chunks", chunks)
 
     @property
     def sample_count(self) -> int:
@@ -80,18 +93,6 @@ class AudioClip:
     def with_samples(self, samples: np.ndarray) -> "AudioClip":
         """Copy of this clip with the sample array replaced."""
         return AudioClip(self.sample_rate, self.channel_count, samples, self.trailing_chunks)
-
-    def __eq__(self, other):
-        if not isinstance(other, AudioClip):
-            return NotImplemented
-        return (
-            self.sample_rate == other.sample_rate
-            and self.channel_count == other.channel_count
-            and self.trailing_chunks == other.trailing_chunks
-            and np.array_equal(self.samples, other.samples)
-        )
-
-    __hash__ = None
 
 
 def parse_wav(data: bytes) -> AudioClip:
@@ -135,7 +136,7 @@ def parse_wav(data: bytes) -> AudioClip:
         elif cid == b"data" and data_body is None:
             data_body = body
         else:
-            trailing.append((cid, bytes(body)))
+            trailing.append((cid, body))  # the clip copies it
         pos = body_start + size + (size & 1)  # odd chunks carry a pad byte
 
     if fmt_body is None:

@@ -63,6 +63,14 @@ def data_chunk_of(wav_bytes: bytes) -> bytes:
     raise AssertionError("no data chunk found")
 
 
+def same_clip(a, b) -> bool:
+    """Content equality of two AudioClips, which themselves compare by identity."""
+    return (
+        (a.sample_rate, a.channel_count, a.trailing_chunks) == (b.sample_rate, b.channel_count, b.trailing_chunks)
+        and np.array_equal(a.samples, b.samples)
+    )
+
+
 def traced_peak(fn, *args):
     """(fn(*args), peak bytes newly allocated during the call), by tracemalloc.
 

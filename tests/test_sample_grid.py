@@ -16,18 +16,23 @@ from duostego.sample_grid import embed_chunks, extract_chunks, geometry, select_
 from oracles import embed_oracle, select_samples_oracle
 
 
+def height(g):
+    """Rows of the grid: the last one may be partly filled."""
+    return -(-g.total_samples // g.width)
+
+
 class TestGeometry:
     def test_single_sample(self):
         g = geometry(1)
-        assert (g.width, g.height, g.digit_width) == (1, 1, 1)
+        assert (g.width, height(g), g.digit_width) == (1, 1, 1)
 
     def test_thousand_samples(self):
         g = geometry(1000)
-        assert (g.width, g.height, g.digit_width) == (32, 32, 2)
+        assert (g.width, height(g), g.digit_width) == (32, 32, 2)
 
     def test_million_samples_gives_three_digit_coords(self):
         g = geometry(1_000_000)
-        assert (g.width, g.height, g.digit_width) == (1000, 1000, 3)
+        assert (g.width, height(g), g.digit_width) == (1000, 1000, 3)
         assert g.digits_for(206 * 1000 + 318) == (2, 0, 6, 3, 1, 8)
 
     def test_zero_samples(self):
@@ -39,10 +44,11 @@ class TestGeometry:
         g = geometry(n)
         # width is the exact ceiling of sqrt(n): (w-1)^2 < n <= w^2
         assert (g.width - 1) ** 2 < n <= g.width**2
-        assert (g.height - 1) * g.width < n <= g.height * g.width
-        assert g.width * g.height >= n == g.total_samples
-        assert g.height <= g.width
-        assert g.digit_width == max(1, len(str(max(g.width, g.height) - 1)))
+        h = height(g)
+        assert (h - 1) * g.width < n <= h * g.width
+        assert g.width * h >= n == g.total_samples
+        assert h <= g.width
+        assert g.digit_width == max(1, len(str(max(g.width, h) - 1)))
 
 
 class TestCoordinates:
@@ -72,8 +78,8 @@ class TestCoordinates:
         # from the grid side: every on-grid (x, y) names one sample, and
         # that sample's digits spell (x, y) back
         g = geometry(n)
-        x = data.draw(st.integers(0, g.height - 1))
-        y = data.draw(st.integers(0, g.width - 1 if x < g.height - 1 else (n - 1) % g.width))
+        x = data.draw(st.integers(0, height(g) - 1))
+        y = data.draw(st.integers(0, g.width - 1 if x < height(g) - 1 else (n - 1) % g.width))
         d = g.digit_width
         digits = tuple(int(c) for c in f"{x:0{d}d}{y:0{d}d}")
         assert g.index_from_digits(digits) == x * g.width + y < n

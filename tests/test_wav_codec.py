@@ -14,7 +14,7 @@ from duostego.errors import (
 )
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
-from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, traced_peak
+from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, same_clip, traced_peak
 
 
 def clip_of(samples, rate=8000, channels=1, trailing=()):
@@ -79,7 +79,7 @@ class TestParse:
         wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body(channels, rate)), (b"data", b"\x00" * 4)])
         clip = parse_wav(wav)
         assert (clip.channel_count, clip.sample_rate) == (channels, rate)
-        assert parse_wav(write_wav(clip)) == clip
+        assert same_clip(parse_wav(write_wav(clip)), clip)
 
     def test_truncated_data_chunk(self):
         good = ref_wav_bytes([1, 2, 3, 4])
@@ -151,6 +151,7 @@ class TestWrite:
         assert out.endswith(b"note" + struct.pack("<I", 3) + b"xyz\x00")
         (declared,) = struct.unpack_from("<I", out, 4)
         assert declared == len(out) - 8
+        assert parse_wav(out).trailing_chunks == ((b"note", b"xyz"),)
 
 
 class TestRoundTrip:
@@ -161,7 +162,7 @@ class TestRoundTrip:
         clip = AudioClip(
             11025, channels, rng.integers(0, 1 << 16, size=count, dtype=np.uint16)
         )
-        assert parse_wav(write_wav(clip)) == clip
+        assert same_clip(parse_wav(write_wav(clip)), clip)
 
     @pytest.mark.parametrize("frames,channels", [(3, 1), (4, 1), (5, 2), (8, 2)])
     def test_parse_then_write_keeps_data_chunk(self, frames, channels):
@@ -197,6 +198,71 @@ class TestClipInvariants:
         with pytest.raises(UnsupportedCodecError, match=rf"shape \({shape[0]}, {shape[1]}"):
             AudioClip(8000, 2, np.zeros(shape, dtype=np.uint16))
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.array([0.7, 3.2]),
+            np.array([1.0], dtype=np.float32),
+            np.array([70000], dtype=np.int32),
+            np.array([-32769]),
+            np.array([65536], dtype=np.uint64),
+            np.array([True]),
+            [70000],
+            [1.5],
+            [2**70],
+        ],
+        ids=["float64", "float32", "int32-high", "int64-low", "uint64-high", "bool", "list-high", "list-float", "list-huge"],
+    )
+    def test_samples_not_16_bit_integers_rejected(self, samples):
+        # astype(uint16) would truncate a float waveform and wrap a wide
+        # integer silently, embedding the payload in garbage
+        with pytest.raises(UnsupportedCodecError, match="integers in"):
+            AudioClip(8000, 1, samples)
+
+    @pytest.mark.parametrize(
+        "samples,patterns",
+        [
+            ([-1, -32768, 65535, 0], [0xFFFF, 0x8000, 0xFFFF, 0]),
+            (np.array([-1, 32767, 65535], dtype=np.int64), [0xFFFF, 0x7FFF, 0xFFFF]),
+            (np.array([65535, 0], dtype=np.uint64), [0xFFFF, 0]),
+            (np.array([-2, 7], dtype=np.int16), [0xFFFE, 7]),
+            ([], []),
+        ],
+        ids=["list", "int64", "uint64", "int16", "empty-float64"],
+    )
+    def test_16_bit_integers_stored_as_patterns(self, samples, patterns):
+        # a negative value wraps exactly as an int16 array does
+        clip = AudioClip(8000, 1, samples)
+        assert clip.samples.dtype == np.uint16 and clip.samples.tolist() == patterns
+        assert parse_wav(write_wav(clip)).samples.tolist() == patterns
+
+    @pytest.mark.parametrize(
+        "trailing",
+        [
+            ((b"ab", b"x"),),
+            ((b"LISTX", b""),),
+            ((b"LIST", "text"),),
+            (("LIST", b"text"),),
+            ((b"LIST", 3),),
+            ((b"LIST",),),
+            ((b"LIST", b"a", b"b"),),
+            (b"LIST", b"body"),
+        ],
+        ids=["short-id", "long-id", "str-body", "str-id", "int-body", "single", "triple", "unnested"],
+    )
+    def test_chunk_write_wav_cannot_emit_rejected(self, trailing):
+        # a 2-byte id used to write a file parse_wav rejects as truncated,
+        # and a str body to reach write_wav as a bare TypeError
+        with pytest.raises(UnsupportedCodecError, match="chunk"):
+            AudioClip(8000, 1, np.zeros(4, dtype=np.uint16), trailing)
+
+    def test_chunk_pairs_stored_as_bytes_tuples(self):
+        trailing = [[b"LIST", bytearray(b"ab")], (memoryview(b"cue "), np.array([1, 2], dtype="<u2"))]
+        clip = AudioClip(8000, 1, np.zeros(4, dtype=np.uint16), trailing)
+        assert clip.trailing_chunks == ((b"LIST", b"ab"), (b"cue ", b"\x01\x00\x02\x00"))
+        assert all(type(pair) is tuple and {type(x) for x in pair} == {bytes} for pair in clip.trailing_chunks)
+        assert parse_wav(write_wav(clip)).trailing_chunks == clip.trailing_chunks
+
     def test_bad_metadata_rejected(self):
         with pytest.raises(UnsupportedCodecError):
             AudioClip(0, 1, np.zeros(1, dtype=np.uint16))
@@ -214,7 +280,7 @@ class TestClipInvariants:
         clip = AudioClip(np.uint32(8000), np.int64(2), np.zeros(2, dtype=np.uint16))
         assert (clip.sample_rate, clip.channel_count) == (8000, 2)
         assert type(clip.sample_rate) is int and type(clip.channel_count) is int
-        assert parse_wav(write_wav(clip)) == clip
+        assert same_clip(parse_wav(write_wav(clip)), clip)
 
     @pytest.mark.parametrize("channels,rate", [(2, 3_000_000_000), (40_000, 8000)])
     def test_fmt_write_wav_cannot_hold_rejected_in_code(self, channels, rate):
@@ -226,7 +292,7 @@ class TestClipInvariants:
     @pytest.mark.parametrize("channels,rate", [(32_767, 8000), (1, (1 << 31) - 1)])
     def test_largest_clip_built_in_code_writes(self, channels, rate):
         clip = AudioClip(rate, channels, np.zeros(4, dtype=np.uint16))
-        assert parse_wav(write_wav(clip)) == clip
+        assert same_clip(parse_wav(write_wav(clip)), clip)
 
     def test_with_samples_replaces_only_samples(self):
         clip = clip_of([1, 2], trailing=((b"cue ", b"abcd"),))
@@ -234,7 +300,7 @@ class TestClipInvariants:
         assert other.samples.tolist() == [3, 4]
         assert other.sample_rate == clip.sample_rate
         assert other.trailing_chunks == clip.trailing_chunks
-        assert other != clip
+        assert not same_clip(other, clip)
 
 
 class TestMemory:
