@@ -60,7 +60,7 @@ class ZeroSamplesError(DuostegoError):
 
 
 class OutOfRangeError(DuostegoError):
-    """Sample index or coordinate outside the grid."""
+    """A sample index, seed or sentence digit outside its range."""
 
 
 class CapacityExceededError(DuostegoError):

@@ -11,7 +11,8 @@ the empty string and the unit rules (S -> VP, VP -> VERB, ...) form no
 cycle, so every recursive call is on a shorter length or lower in the
 unit-rule order, and the recursion ends.
 generate_sentence() realizes a digit sequence as words, one word per
-digit, picking skeleton and words from a seeded stream.
+digit: one rng.outputs block of seeded draws picks the skeleton, then
+each word, and a rejected draw is skipped as in below_many.
 
 Decoding is the odd one out: decode_sentence() maps words to digits
 through the lexicon alone and never consults the grammar, so text that
@@ -20,12 +21,13 @@ was reformatted (or was never derivable to begin with) still decodes.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .lexicon import Lexicon, PosClass
-from .rng import GAMMA, MASK64, MIX1, MIX2, RANGE64
+from .errors import OutOfRangeError
+from .lexicon import DIGITS, Lexicon, PosClass
+from .rng import MASK64, RANGE64, outputs
 
 # fmt: off
 PRODUCTIONS: tuple[tuple[str, tuple], ...] = (
@@ -71,48 +73,55 @@ def _skeletons(length: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_derivable(START, length)))
 
 
+@cache
+def _skeleton_draw(length: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """_skeletons(length) and the rejection limit of a draw over them."""
+    return _skeletons(length), RANGE64 - RANGE64 % len(_skeletons(length))
+
+
+@lru_cache(maxsize=8)
+def _word_draws(lexicon: Lexicon) -> dict[int, tuple[tuple[tuple[str, ...], int], ...]]:
+    """digit -> (words, draw rejection limit) per PosClass row; a dict, so -1 has no entry."""
+    rows = lexicon.words_by_pos
+    return {d: tuple((row[d], RANGE64 - RANGE64 % len(row[d])) for row in rows) for d in DIGITS}
+
+
 class Grammar:
     """The fixed production set."""
 
-    def generate_sentence(
-        self, lexicon: Lexicon, digits: Sequence[int], seed: int
-    ) -> list[str]:
+    def generate_sentence(self, lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
         """Words realizing `digits`, one word per digit, seed-deterministic.
 
         Token i is drawn from lexicon category digits[i]; the tokens'
         part-of-speech sequence is one of _skeletons(len(digits)).
+        Raises OutOfRangeError for a digit outside 0-9.
         """
         if not digits:
             raise ValueError("cannot generate a sentence for zero digits")
-        cells = lexicon.words_by_pos
-        skeleton = None
-        tokens: list[str] = []
-        # The first draw picks the skeleton, each later one the next word.
-        # The draws are SplitMix64(seed) draws over len(options) in turn:
-        # the step, rng.mix and below_many's rejection rule written out on
-        # a local state, which test_matches_scalar_oracle checks. This runs
-        # for every sentence of a cover, where a call per draw dominates.
-        options = _skeletons(len(digits))
-        state = seed & MASK64
+        skeletons, skeleton_limit = _skeleton_draw(len(digits))
+        cells = _word_draws(lexicon)
+        # Only rejections use up the block of len(digits) + 1 draws. A longer
+        # block from the same seed starts with the same draws: walk it again.
+        k = step = len(digits) + 1
         while True:
-            bound = len(options)
-            limit = RANGE64 - RANGE64 % bound
-            while True:
-                state = (state + GAMMA) & MASK64
-                z = ((state ^ (state >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                z ^= z >> 31
-                if z < limit:
-                    break
-            pick = options[z % bound]
-            if skeleton is None:
-                skeleton = pick
-            else:
-                tokens.append(pick)
-            i = len(tokens)
-            if i == len(digits):
+            draws = iter(outputs(seed & MASK64, k))
+            try:
+                z = next(draws)
+                while z >= skeleton_limit:
+                    z = next(draws)
+                skeleton = skeletons[z % len(skeletons)]
+                tokens = []
+                for pos, digit in zip(skeleton, digits):
+                    words, limit = cells[digit][pos]
+                    z = next(draws)
+                    while z >= limit:
+                        z = next(draws)
+                    tokens.append(words[z % len(words)])
                 return tokens
-            options = cells[skeleton[i]][digits[i]]
+            except StopIteration:
+                k += step
+            except KeyError:
+                raise OutOfRangeError(f"sentence digits must lie in 0-9, got {list(digits)}") from None
 
 
 def decode_sentence(lexicon: Lexicon, tokens: Iterable[str]) -> list[int]:

@@ -9,16 +9,20 @@ java.util.SplittableRandom), chosen for its tiny state and trivially
 portable arithmetic.
 
 SplitMix64 is counter-based: its k-th output is mix(seed + k * GAMMA).
-So one output function, mix, serves next64 on a Python int and
-below_many on a block of counters as a numpy uint64 array, where
-arithmetic wraps silently. Scalars stay Python ints, because a numpy
-scalar that wraps warns, and warnings are errors under `-W error`.
-A rejected draw restarts the block after it.
+mix takes a Python int (next64: a numpy scalar that wraps warns, and
+warnings are errors under `-W error`), a uint64 array (below_many's
+blocks, which wrap silently and restart after a rejected draw), or k
+counters in 128-bit lanes of one int (outputs). A 64 x 64-bit product
+fits its lane, so no carry crosses lanes, but z >> 30 moves lane t + 1's
+low bits into the top of lane t: mix masks each lane to 64 bits before
+and after each multiply and at the end, a no-op on the other two forms.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -37,11 +41,25 @@ _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 _STEPS.flags.writeable = False
 
 
-def mix(z):
-    """SplitMix64's output of counter z, an int in [0, 2**64) or a uint64 array."""
-    z = ((z ^ (z >> 30)) * MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * MIX2) & MASK64
-    return z ^ (z >> 31)
+def mix(z, mask=MASK64):
+    """SplitMix64's output of z: an int in [0, 2**64), a uint64 array, or lanes with mask _lanes(k)[2]."""
+    z = ((z ^ (z >> 30)) & mask) * MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * MIX2 & mask
+    return (z ^ (z >> 31)) & mask
+
+
+@cache
+def _lanes(k: int):
+    """For k lanes: a 1 in each, the steps t * GAMMA (t = 1..k), the lane mask and an unpacker."""
+    ones = sum(1 << 128 * t for t in range(k))
+    steps = sum((t * GAMMA & MASK64) << 128 * (t - 1) for t in range(1, k + 1))
+    return ones, steps, ones * MASK64, struct.Struct("<" + "Q8x" * k).unpack, 16 * k
+
+
+def outputs(state: int, k: int) -> tuple[int, ...]:
+    """The k outputs after state in [0, 2**64): mix(state + t * GAMMA) for t = 1..k."""
+    ones, steps, mask, unpack, size = _lanes(k)
+    return unpack(mix((state * ones + steps) & mask, mask).to_bytes(size, "little"))
 
 
 class SplitMix64:

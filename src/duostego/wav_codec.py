@@ -66,7 +66,10 @@ class AudioClip:
         block_align = channels * BYTES_PER_SAMPLE  # a 16-bit fmt field; the byte rate is 32-bit
         if not (0 < block_align <= 0xFFFF and 0 < rate * block_align < 1 << 32):
             raise UnsupportedCodecError(f"{channels} channels at {rate} Hz do not fit the fmt chunk")
-        arr = np.asarray(self.samples)
+        try:
+            arr = np.asarray(self.samples)
+        except ValueError:  # a ragged nested sequence
+            raise UnsupportedCodecError("samples must be a 1-D interleaved array, got a ragged sequence") from None
         wide = arr.size and arr.itemsize > 2  # every parsed clip is uint16 and skips the range pass
         if arr.size and arr.dtype.kind not in "iu" or wide and not -0x8000 <= arr.min() <= arr.max() <= 0xFFFF:
             raise UnsupportedCodecError(f"samples must be integers in [-32768, 65535], got {arr.dtype}")

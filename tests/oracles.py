@@ -13,11 +13,11 @@
 * skeletons_of_length(): grammar._skeletons mapped back to PosClass
   members, the form the grammar tests compare;
 * below(): one scalar draw in [0, bound) with SplitMix64's rejection
-  rule, the reference that below_many and generate_sentence's inline
-  loop must reproduce;
+  rule, the reference that below_many and generate_sentence's walk over
+  a block of rng.outputs must reproduce;
 * select_samples_oracle() and generate_sentence_oracle(): sample
   selection and sentence generation with one below() call per draw, as
-  the package made them before its draws went block-wise and inline;
+  the package made them before its draws went block-wise;
 * _seed_whose_first_output_is(): a seed chosen through the inverse of
   SplitMix64's output function, to force a given raw draw.
 """

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from duostego.errors import UnknownWordError
+from duostego import grammar as grammar_module
+from duostego.errors import OutOfRangeError, UnknownWordError
 from duostego.grammar import Grammar, decode_sentence
 from duostego.lexicon import PosClass, load_default_lexicon
+from duostego.rng import RANGE64, SplitMix64, outputs
 
 from conftest import words_for
 from oracles import generate_sentence_oracle, oracle_skeletons, recognize, skeletons_of_length
@@ -127,6 +129,117 @@ class TestGenerate:
     def test_matches_scalar_oracle(self, digits, seed):
         tokens = Grammar().generate_sentence(_SESSION_LEXICON, digits, seed)
         assert tokens == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
+
+
+def _limit(bound: int) -> int:
+    """The smallest raw draw that a draw over `bound` options rejects."""
+    return RANGE64 - RANGE64 % bound
+
+
+def _bounds(lexicon, digits, skeleton_draw: int) -> list[int]:
+    """Option counts of a sentence's draws: the skeletons, then each word's cell."""
+    skeletons = skeletons_of_length(len(digits))
+    skeleton = skeletons[skeleton_draw % len(skeletons)]
+    return [len(skeletons)] + [len(words_for(lexicon, d, pos)) for d, pos in zip(digits, skeleton)]
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The block sizes that generate_sentence asks rng.outputs for, in order."""
+    sizes = []
+
+    def spy(state, k):
+        sizes.append(k)
+        return outputs(state, k)
+
+    monkeypatch.setattr(grammar_module, "outputs", spy)
+    return sizes
+
+
+class TestRejection:
+    """generate_sentence skips rejected draws as the one-draw-at-a-time oracle does.
+
+    The known answers were recorded before the draws went block-wise. A
+    sentence of n digits draws a block of n + 1 outputs, so one rejection
+    uses it up and a block of 2(n + 1) from the same seed replaces it.
+    """
+
+    @pytest.mark.parametrize(
+        "digits, seed, row, expected",
+        [
+            # Draw 8, the last word's over a 10-word cell: the block's last lane.
+            pytest.param(
+                (3, 1, 4, 1, 5, 9, 2, 0),
+                9215558724009774362,
+                8,
+                ["seventy", "board", "including", "chicago", "catch", "enough", "doctor", "door"],
+                id="last-lane",
+            ),
+            # A 1-digit sentence's word draw, the last of a 2-lane block.
+            pytest.param((0,), 15233586164433957293, 1, ["find"], id="one-digit-word"),
+            # 4 is the shortest length whose skeleton count (15) is no power of two.
+            pytest.param((3, 1, 4, 1), 3558559446808474027, 0, ["samsung", "study", "amidst", "he"], id="skeleton"),
+        ],
+    )
+    def test_known_answers(self, blocks, digits, seed, row, expected):
+        rng = SplitMix64(seed)
+        raw = [rng.next64() for _ in range(row + 2)]
+        bounds = _bounds(_SESSION_LEXICON, digits, raw[1] if row == 0 else raw[0])
+        assert raw[row] == _limit(bounds[row])
+        assert all(z < _limit(b) for z, b in zip(raw[:row], bounds))
+        tokens = Grammar().generate_sentence(_SESSION_LEXICON, digits, seed)
+        assert tokens == expected == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
+        assert blocks == [len(digits) + 1, 2 * (len(digits) + 1)]
+
+    def test_one_digit_skeleton_draw_is_never_rejected(self, blocks):
+        # Length 1 has one skeleton, and a draw over one option rejects
+        # nothing: even this seed's first draw, the largest there is, is kept.
+        seed = 3558559446808474027
+        assert SplitMix64(seed).next64() == RANGE64 - 1 < _limit(len(skeletons_of_length(1)))
+        tokens = Grammar().generate_sentence(_SESSION_LEXICON, [7], seed)
+        assert tokens == ["forget"] == generate_sentence_oracle(_SESSION_LEXICON, [7], seed)
+        assert blocks == [2]
+
+    # Two rejected draws in a row are out of reach of a real seed: with
+    # cells of at most 10 words, a draw is rejected with odds below 2**-60.
+    # So these cases insert rejected draws into the real stream. A rejected
+    # draw is skipped, so the words must stay those of the plain stream.
+    @pytest.mark.parametrize(
+        "digits, seed, rows",
+        [
+            pytest.param((2, 9, 0, 1, 3, 3, 4, 5), 8, {0, 1}, id="skeleton-twice"),
+            pytest.param((2, 9, 0, 1, 3, 3, 4, 5), 8, {3, 4}, id="mid-sentence"),
+            pytest.param((2, 9, 0, 1, 3, 3, 4, 5), 8, {8, 9}, id="last-lane-twice"),
+            pytest.param((2, 9, 0, 1, 3, 3, 4, 5), 7, set(range(5, 25)), id="twenty-in-a-row"),
+            pytest.param((1,), 11, {1, 2}, id="one-digit"),
+        ],
+    )
+    def test_rejected_draws_in_a_row(self, monkeypatch, digits, seed, rows):
+        rejected = RANGE64 - 1  # rejected over any count that is not a power of two
+        sizes = []
+
+        def stream(state, k):
+            sizes.append(k)
+            real = SplitMix64(state)
+            return tuple(rejected if t in rows else real.next64() for t in range(k))
+
+        bounds = _bounds(_SESSION_LEXICON, digits, SplitMix64(seed).next64())
+        for row in rows:  # each inserted draw is rejected by the draw it stands in for
+            assert rejected >= _limit(bounds[row - sum(r < row for r in rows)])
+        expected = generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
+        monkeypatch.setattr(grammar_module, "outputs", stream)
+        assert Grammar().generate_sentence(_SESSION_LEXICON, digits, seed) == expected
+        # Each block is n + 1 longer than the last, until one holds the
+        # n + 1 kept draws and every inserted one.
+        block = len(digits) + 1
+        needed = -(-(block + len(rows)) // block)
+        assert sizes == [block * b for b in range(1, needed + 1)]
+
+    @pytest.mark.parametrize("digits", [[-1], [10], [1, 2, 3, -1], [4, 10, 4, 4]])
+    def test_digits_outside_0_to_9_rejected(self, digits):
+        # A negative digit used to wrap round to category 9 silently.
+        with pytest.raises(OutOfRangeError, match="0-9"):
+            Grammar().generate_sentence(_SESSION_LEXICON, digits, 3)
 
 
 class TestDecode:

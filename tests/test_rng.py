@@ -1,14 +1,17 @@
-"""SplitMix64.below_many against a loop of the scalar reference draw.
+"""The block and lane forms of SplitMix64 against its scalar form.
 
 below_many draws blocks of rows as uint64 arrays and restarts a block
 after its first rejected row. Every case compares both the values and
-the stream's state afterwards with a loop of oracles.below.
+the stream's state afterwards with a loop of oracles.below. outputs
+draws k outputs at once in 128-bit lanes of one int; its cases compare
+with k calls of next64, and mix on each form with mix on each counter.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64
+from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, _lanes, mix, outputs
 
 from oracles import _seed_whose_first_output_is, below
 
@@ -100,3 +103,42 @@ def test_below_rejects_bounds_past_64_bits():
     assert next(SplitMix64(1).below_many(range(TOP, TOP + 1))) < TOP
     with pytest.raises(ValueError):
         next(SplitMix64(1).below_many(range(RANGE64, RANGE64 + 1)))
+
+
+# Lane t of a block after state holds the counter state + (t + 1) * GAMMA
+# mod 2**64. GAMMA is about 0.62 * 2**64, so every block of two or more
+# lanes wraps; the last two states put the wrap at lane 0 and lane 1.
+LANE_STATES = {
+    "zero": 0,
+    "top": TOP,
+    "lane-0-wraps-to-0": RANGE64 - GAMMA,
+    "lane-1-wraps": RANGE64 - GAMMA - 1,
+}
+
+
+@pytest.mark.parametrize("state", LANE_STATES.values(), ids=LANE_STATES.keys())
+@pytest.mark.parametrize("k", range(1, 21))
+def test_outputs_equal_consecutive_next64(state, k):
+    rng = SplitMix64(state)
+    assert outputs(state, k) == tuple(rng.next64() for _ in range(k))
+
+
+def test_lane_states_wrap_where_named():
+    assert LANE_STATES["lane-0-wraps-to-0"] + GAMMA == RANGE64
+    assert LANE_STATES["lane-1-wraps"] + GAMMA == TOP
+    assert LANE_STATES["lane-1-wraps"] + 2 * GAMMA > RANGE64
+
+
+@given(st.lists(st.integers(0, TOP), min_size=1, max_size=20))
+@example([0])
+@example([TOP] * 20)
+@example([0, TOP, 1, TOP - 1])
+@settings(max_examples=100, deadline=None)
+def test_mix_forms_agree(counters):
+    # Packed lanes, a uint64 array and Python ints give the same outputs;
+    # a wrapping uint64 array must not warn (warnings are errors here).
+    scalars = [mix(c) for c in counters]
+    mask = _lanes(len(counters))[2]
+    packed = mix(sum(c << 128 * t for t, c in enumerate(counters)), mask)
+    assert packed == sum(z << 128 * t for t, z in enumerate(scalars))  # high halves clear too
+    assert mix(np.array(counters, dtype=np.uint64)).tolist() == scalars

@@ -198,6 +198,12 @@ class TestClipInvariants:
         with pytest.raises(UnsupportedCodecError, match=rf"shape \({shape[0]}, {shape[1]}"):
             AudioClip(8000, 2, np.zeros(shape, dtype=np.uint16))
 
+    @pytest.mark.parametrize("samples", [[[1, 2], [3]], [1, [2, 3]], [[1], [2, 3], []]])
+    def test_ragged_samples_rejected(self, samples):
+        # np.asarray raises a bare ValueError on a ragged nested list
+        with pytest.raises(UnsupportedCodecError, match="ragged"):
+            AudioClip(8000, 1, samples)
+
     @pytest.mark.parametrize(
         "samples",
         [
