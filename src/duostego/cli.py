@@ -8,11 +8,14 @@ of the first matching row of _FAMILY_CODES: 3 capacity exceeded,
 The text intermediate is written one sentence per line, lowercase
 words separated by single spaces; reading back tolerates any amount of
 whitespace and any letter case.
+
+main() runs each command with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -132,11 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Commands build no reference cycles, so collector passes over their
+    # ~10^5 word lists would find nothing; the caller's state is restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (DuostegoError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for family, code in _FAMILY_CODES if isinstance(exc, family)), 1)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import combinations, product
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import OutOfRangeError
@@ -102,9 +103,10 @@ class Grammar:
         cells = _word_draws(lexicon)
         # Only rejections use up the block of len(digits) + 1 draws. A longer
         # block from the same seed starts with the same draws: walk it again.
+        state = index(seed) & MASK64
         k = step = len(digits) + 1
         while True:
-            draws = iter(outputs(seed & MASK64, k))
+            draws = iter(outputs(state, k))
             try:
                 z = next(draws)
                 while z >= skeleton_limit:

@@ -7,9 +7,10 @@ from a specific (digit, POS) cell, so every cell must be non-empty or a
 sentence skeleton could dead-end.
 
 File format: UTF-8 text, one ``digit|pos|word`` entry per line, where
-pos is one of det, pronoun, preposition, noun, verb, propernoun.
-Lines starting with ``#`` are comments; blank lines are ignored. Words
-are normalized to lowercase and may not contain whitespace.
+pos is one of det, pronoun, preposition, noun, verb, propernoun. A
+leading byte-order mark is ignored. Lines starting with ``#`` are
+comments; blank lines are ignored. Words are normalized to lowercase
+and may not contain whitespace.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class Lexicon:
 def load_lexicon(text: str) -> Lexicon:
     """Parse and validate lexicon text (see module docstring for the format)."""
     cells = [[set() for _ in DIGITS] for _ in PosClass]
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

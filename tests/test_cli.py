@@ -1,8 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from duostego import cli, errors
-from duostego.cli import main
+from duostego.cli import build_parser, main
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
 from conftest import make_lexicon_text, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes
@@ -36,6 +38,13 @@ def run_cover(tmp_path, carrier_path, payload=b"meet me at noon", seed="271828")
         ]
     )
     return code, stego, text, payload
+
+
+def damage_first_word(text_path):
+    """Replace the location text's first word by one no lexicon holds."""
+    lines = text_path.read_text().splitlines()
+    lines[0] = "xyzzy " + lines[0].split(" ", 1)[1]
+    text_path.write_text("\n".join(lines))
 
 
 class TestCoverUncover:
@@ -155,9 +164,7 @@ class TestExitCodes:
 
     def test_extraction_failure_is_6(self, tmp_path, carrier_path, capsys):
         _, stego, text, _ = run_cover(tmp_path, carrier_path)
-        lines = text.read_text().splitlines()
-        lines[0] = "xyzzy " + lines[0].split(" ", 1)[1]
-        text.write_text("\n".join(lines))
+        damage_first_word(text)
         code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
         assert code == 6
         capsys.readouterr()
@@ -269,3 +276,76 @@ def test_error_exit_code(monkeypatch, capsys, name, code):
     monkeypatch.setattr(cli, "cmd_capacity", fail)
     assert main(["capacity", "unused.wav"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.fixture
+def restore_collector():
+    """Put the collector back as the test found it, whatever the test set."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main() pauses the cyclic collector for the command and restores the caller's state."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", ["success", "exit-6", "escapes"])
+    def test_collector_state_restored(
+        self, tmp_path, carrier_path, monkeypatch, capsys, restore_collector, enabled, outcome
+    ):
+        _, stego, text, _ = run_cover(tmp_path, carrier_path)
+        damage_first_word(text)
+        seen = []
+
+        def spy(name, body):
+            def handler(args):
+                seen.append(gc.isenabled())
+                return body(args)
+
+            monkeypatch.setattr(cli, name, handler)
+
+        def escape(args):
+            raise RuntimeError("boom")
+
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "success":
+            spy("cmd_capacity", cli.cmd_capacity)
+            assert main(["capacity", str(carrier_path)]) == 0
+        elif outcome == "exit-6":
+            spy("cmd_uncover", cli.cmd_uncover)
+            assert main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")]) == 6
+        else:
+            spy("cmd_capacity", escape)
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["capacity", str(carrier_path)])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["cover", "uncover", "inspect", "capacity", "uncover-unknown-word"])
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path, carrier_path, capsys, restore_collector, command):
+        # With no cycles, reference counting frees everything, so pausing the
+        # collector cannot raise a command's peak memory.
+        _, stego, text, _ = run_cover(tmp_path, carrier_path)
+        failing = command == "uncover-unknown-word"
+        if failing:
+            damage_first_word(text)
+        argv = {
+            "cover": ["cover", str(carrier_path), str(tmp_path / "payload.bin"), "-o", str(tmp_path / "s2.wav"),
+                      "-t", str(tmp_path / "t2.txt"), "--seed", "9"],
+            "inspect": ["inspect", str(carrier_path), str(stego)],
+            "capacity": ["capacity", str(carrier_path)],
+        }.get(command, ["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
+        args = build_parser().parse_args(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            args.handler(args)
+        except errors.UnknownWordError:
+            assert failing
+        else:
+            assert not failing
+        gc.enable()
+        assert gc.collect() == 0
+        capsys.readouterr()

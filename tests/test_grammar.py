@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -106,6 +107,18 @@ class TestGenerate:
             for s in range(20)
         }
         assert len(outputs) > 1
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.int64(12345), np.uint64(12345), np.int32(12345), np.uint32(12345), np.int16(-7), np.uint8(200),
+         np.int64(-(2**63)), np.uint64(2**64 - 1)],
+    )
+    def test_numpy_integer_seed_matches_int(self, grammar, default_lexicon, seed):
+        # numpy seeds used to overflow in `seed & MASK64`.
+        digits = [1, 2, 3, 0, 9]
+        assert grammar.generate_sentence(default_lexicon, digits, seed) == grammar.generate_sentence(
+            default_lexicon, digits, int(seed)
+        )
 
     def test_empty_digits_rejected(self, grammar, default_lexicon):
         with pytest.raises(ValueError):

@@ -68,6 +68,18 @@ class TestLoading:
         text = make_lexicon_text(extra=[(4, PosClass.NOUN, "Dance"), (4, PosClass.NOUN, "dance")])
         assert words_for(load_lexicon(text), 4, PosClass.NOUN) == ("dance", "noun4x0", "noun4x1")
 
+    def test_leading_byte_order_mark_ignored(self):
+        # As saved by a BOM-writing editor; the mark used to stick to line 1's digit.
+        text = "0|noun|door\n" + make_lexicon_text()
+        lex = load_lexicon("\ufeff" + text)
+        assert lex.words_by_pos == load_lexicon(text).words_by_pos
+        assert lex.digits_of(["door"]) == [0]
+
+    @pytest.mark.parametrize("prefix", ["\ufeff\ufeff", "# comment\n\ufeff"])
+    def test_only_one_mark_at_the_very_start_ignored(self, prefix):
+        with pytest.raises(LexiconParseError):
+            load_lexicon(prefix + "0|noun|door\n" + make_lexicon_text())
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + make_lexicon_text() + "\n   \n# the end\n"
         load_lexicon(text)
