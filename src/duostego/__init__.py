@@ -8,7 +8,6 @@ requires the stego audio, the sentence text, and the shared lexicon.
 """
 
 from . import errors
-from .grammar import DEFAULT_GRAMMAR, Grammar, decode_sentence
 from .lexicon import Lexicon, PosClass, load_default_lexicon, load_lexicon
 from .pipeline import (
     DistortionReport,
@@ -19,27 +18,22 @@ from .pipeline import (
     distortion_report,
     uncover,
 )
-from .sample_grid import GridGeometry, geometry, select_samples
+from .sample_grid import select_samples
 from .wav_codec import AudioClip, parse_wav, write_wav
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip",
-    "DEFAULT_GRAMMAR",
     "DistortionReport",
-    "Grammar",
-    "GridGeometry",
     "Lexicon",
     "PosClass",
     "StegoBundle",
     "capacity_bits",
     "capacity_bytes",
     "cover",
-    "decode_sentence",
     "distortion_report",
     "errors",
-    "geometry",
     "load_default_lexicon",
     "load_lexicon",
     "parse_wav",

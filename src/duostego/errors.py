@@ -28,7 +28,11 @@ class UnsupportedDepthError(WavError):
 
 
 class UnsupportedCodecError(WavError):
-    """Format tag is not PCM (1), or a rate or channel count no fmt chunk can hold (parsed or built)."""
+    """Format tag is not PCM (1), or a rate or channel count no fmt chunk can hold (parsed or built).
+
+    A built clip also raises it for samples that are not a 1-D array of
+    integers in [-32768, 65535], or chunks that are not (4-byte id, bytes) pairs.
+    """
 
 
 class TruncatedError(WavError):
@@ -74,7 +78,7 @@ class LexiconError(DuostegoError):
 
 
 class LexiconParseError(LexiconError):
-    """Malformed lexicon line (bad field count, digit, POS tag, or word) or cell key."""
+    """Malformed lexicon line (bad field count, digit, POS tag, or word)."""
 
 
 class DuplicateWordError(LexiconError):

@@ -13,10 +13,6 @@ unit-rule order, and the recursion ends.
 generate_sentence() realizes a digit sequence as words, one word per
 digit: one rng.outputs block of seeded draws picks the skeleton, then
 each word, and a rejected draw is skipped as in below_many.
-
-Decoding is the odd one out: decode_sentence() maps words to digits
-through the lexicon alone and never consults the grammar, so text that
-was reformatted (or was never derivable to begin with) still decodes.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations, product
 from operator import index
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import OutOfRangeError
 from .lexicon import DIGITS, Lexicon, PosClass
@@ -88,16 +84,16 @@ def _word_draws(lexicon: Lexicon) -> dict[int, tuple[tuple[tuple[str, ...], int]
 
 
 class Grammar:
-    """The fixed production set."""
+    """Stateless holder of generate_sentence: pipeline.cover, pinned by bench/layers.py, calls it by name."""
 
     def generate_sentence(self, lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
         """Words realizing `digits`, one word per digit, seed-deterministic.
 
         Token i is drawn from lexicon category digits[i]; the tokens'
-        part-of-speech sequence is one of _skeletons(len(digits)).
-        Raises OutOfRangeError for a digit outside 0-9.
+        part-of-speech sequence is one of _skeletons(len(digits)); a numpy
+        digit array works too. Raises OutOfRangeError for a digit outside 0-9.
         """
-        if not digits:
+        if len(digits) == 0:
             raise ValueError("cannot generate a sentence for zero digits")
         skeletons, skeleton_limit = _skeleton_draw(len(digits))
         cells = _word_draws(lexicon)
@@ -123,14 +119,7 @@ class Grammar:
             except StopIteration:
                 k += step
             except KeyError:
-                raise OutOfRangeError(f"sentence digits must lie in 0-9, got {list(digits)}") from None
-
-
-def decode_sentence(lexicon: Lexicon, tokens: Iterable[str]) -> list[int]:
-    """Token-wise category digits; lexicon-only, the grammar is never consulted."""
-    if not isinstance(tokens, (list, tuple)):
-        tokens = list(tokens)  # digits_of may read the tokens twice
-    return lexicon.digits_of(tokens)
+                raise OutOfRangeError(f"sentence digits must lie in 0-9, got {list(map(int, digits))}") from None
 
 
 DEFAULT_GRAMMAR = Grammar()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from importlib import resources
-from typing import Sequence
+from typing import Iterable
 
 from .errors import (
     DuplicateWordError,
@@ -77,11 +77,15 @@ class Lexicon:
                     digit_by_word[word] = digit
         self._digit_by_word = digit_by_word
 
-    def digits_of(self, tokens: Sequence[str]) -> list[int]:
-        """Category digit of every token, case-insensitive.
+    def digits_of(self, tokens: Iterable[str]) -> list[int]:
+        """Category digit of every token, case-insensitive: a sentence's digits.
 
+        Decoding consults the lexicon alone, never the grammar, so text
+        that was reformatted (or was never derivable) still decodes.
         Raises UnknownWordError naming the first token in no category.
         """
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)  # a miss below reads the tokens again
         table = self._digit_by_word
         try:
             return [table[token] for token in tokens]  # lowercase text, as generated

@@ -75,6 +75,8 @@ class AudioClip:
             raise UnsupportedCodecError(f"samples must be integers in [-32768, 65535], got {arr.dtype}")
         if arr.ndim != 1:
             raise UnsupportedCodecError(f"samples must be a 1-D interleaved array, got shape {arr.shape}")
+        if arr.dtype == np.int16:  # native order only: its bytes are already the patterns
+            arr = arr.view(np.uint16)
         arr = np.ascontiguousarray(arr, dtype=np.uint16).view()
         arr.setflags(write=False)
         try:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from duostego.errors import DuplicateWordError
-from duostego.grammar import decode_sentence
 from duostego.lexicon import PosClass, load_lexicon
 from duostego.payload_codec import chunk
 from duostego.pipeline import capacity_bits, capacity_bytes, cover, uncover
@@ -106,7 +105,7 @@ def test_criterion_3_embedding_rule_vector():
 
 def test_criterion_4_coordinate_decoding_vector(reference_lexicon, default_lexicon):
     for lexicon in (reference_lexicon, default_lexicon):
-        assert decode_sentence(lexicon, ["a", "book", "from", "school"]) == [2, 9, 0, 1]
+        assert lexicon.digits_of(["a", "book", "from", "school"]) == [2, 9, 0, 1]
     report(4, '"a book from school" decodes to [2, 9, 0, 1]')
 
 

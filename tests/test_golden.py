@@ -14,8 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from duostego import DEFAULT_GRAMMAR, cover, geometry, select_samples, uncover, write_wav
+from duostego import cover, select_samples, uncover, write_wav
+from duostego.grammar import DEFAULT_GRAMMAR
 from duostego.rng import SplitMix64
+from duostego.sample_grid import geometry
 from duostego.wav_codec import AudioClip
 
 from conftest import words_for

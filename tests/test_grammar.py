@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from duostego import grammar as grammar_module
-from duostego.errors import OutOfRangeError, UnknownWordError
-from duostego.grammar import Grammar, decode_sentence
+from duostego.errors import OutOfRangeError
+from duostego.grammar import Grammar
 from duostego.lexicon import PosClass, load_default_lexicon
 from duostego.rng import RANGE64, SplitMix64, outputs
 
@@ -81,7 +81,7 @@ class TestGenerate:
         digits = [2, 9, 0, 1]
         tokens = grammar.generate_sentence(reference_lexicon, digits, seed=7)
         assert len(tokens) == 4
-        assert decode_sentence(reference_lexicon, tokens) == digits
+        assert reference_lexicon.digits_of(tokens) == digits
         # the realized part-of-speech sequence must be a derivable skeleton
         skeletons = set(skeletons_of_length(4))
         candidates = [
@@ -124,6 +124,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             grammar.generate_sentence(default_lexicon, [], seed=0)
 
+    @pytest.mark.parametrize("digits", [(7,), (2, 9, 0, 1), (3, 1, 4, 1, 5, 9, 2, 0), (0,) * 12])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1, 9215558724009774362])
+    def test_numpy_digit_array_matches_tuple(self, grammar, default_lexicon, digits, seed):
+        # `if not digits` used to raise numpy's ambiguous-truth-value error
+        array = np.array(digits)
+        assert grammar.generate_sentence(default_lexicon, array, seed) == grammar.generate_sentence(
+            default_lexicon, tuple(digits), seed
+        )
+
+    def test_empty_digit_array_rejected(self, grammar, default_lexicon):
+        with pytest.raises(ValueError, match="zero digits"):
+            grammar.generate_sentence(default_lexicon, np.array([], dtype=np.int64), seed=0)
+
+    def test_digit_array_outside_0_to_9_rejected(self, grammar, default_lexicon):
+        with pytest.raises(OutOfRangeError, match=r"got \[1, -1\]$"):
+            grammar.generate_sentence(default_lexicon, np.array([1, -1]), seed=3)
+
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=12),
         st.integers(0, 2**64 - 1),
@@ -133,7 +150,7 @@ class TestGenerate:
         grammar = Grammar()
         lexicon = _SESSION_LEXICON
         tokens = grammar.generate_sentence(lexicon, digits, seed)
-        assert decode_sentence(lexicon, tokens) == digits
+        assert lexicon.digits_of(tokens) == digits
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=8), st.integers(0, 2**64 - 1))
     @example(digits=[0], seed=0)
@@ -253,32 +270,3 @@ class TestRejection:
         # A negative digit used to wrap round to category 9 silently.
         with pytest.raises(OutOfRangeError, match="0-9"):
             Grammar().generate_sentence(_SESSION_LEXICON, digits, 3)
-
-
-class TestDecode:
-    def test_known_answer_example(self, reference_lexicon):
-        assert decode_sentence(reference_lexicon, ["a", "book", "from", "school"]) == [2, 9, 0, 1]
-
-    def test_case_and_grammarless(self, reference_lexicon):
-        # decoding never consults the grammar, so an underivable word
-        # salad still decodes
-        assert decode_sentence(reference_lexicon, ["A", "BOOK", "School"]) == [2, 9, 1]
-
-    def test_unknown_word_position(self, reference_lexicon):
-        with pytest.raises(UnknownWordError) as err:
-            decode_sentence(reference_lexicon, ["a", "zzzz"])
-        assert err.value.position == 1
-        assert err.value.word == "zzzz"
-
-    def test_unknown_word_after_mixed_case(self, reference_lexicon):
-        # the first unknown token is named, even when an earlier token
-        # only matches after case folding
-        with pytest.raises(UnknownWordError) as err:
-            decode_sentence(reference_lexicon, ["A", "book", "zzzz", "Qqqq"])
-        assert err.value.position == 2
-        assert err.value.word == "zzzz"
-
-    def test_any_iterable(self, reference_lexicon):
-        tokens = ["A", "BOOK", "from", "School"]
-        assert decode_sentence(reference_lexicon, iter(tokens)) == [2, 9, 0, 1]
-        assert decode_sentence(reference_lexicon, tuple(tokens)) == [2, 9, 0, 1]

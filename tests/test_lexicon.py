@@ -161,6 +161,40 @@ class TestLookup:
             reference_lexicon.digits_of(["Texas", "zzzz", "yyyy"])
         assert (err.value.word, err.value.position) == ("zzzz", 1)
 
+    def test_known_answer_example(self, reference_lexicon):
+        assert reference_lexicon.digits_of(["a", "book", "from", "school"]) == [2, 9, 0, 1]
+
+    def test_case_and_grammarless(self, reference_lexicon):
+        # decoding never consults the grammar, so an underivable word
+        # salad still decodes
+        assert reference_lexicon.digits_of(["A", "BOOK", "School"]) == [2, 9, 1]
+
+    def test_unknown_word_position(self, reference_lexicon):
+        with pytest.raises(UnknownWordError) as err:
+            reference_lexicon.digits_of(["a", "zzzz"])
+        assert err.value.position == 1
+        assert err.value.word == "zzzz"
+
+    def test_unknown_word_after_mixed_case(self, reference_lexicon):
+        # the first unknown token is named, even when an earlier token
+        # only matches after case folding
+        with pytest.raises(UnknownWordError) as err:
+            reference_lexicon.digits_of(["A", "book", "zzzz", "Qqqq"])
+        assert err.value.position == 2
+        assert err.value.word == "zzzz"
+
+    def test_any_iterable(self, reference_lexicon):
+        # A one-pass iterator used to be used up by the lowercase lookup
+        # before a case miss sent it to the case-folding path, which then
+        # decoded only what was left: [9, 0, 1].
+        tokens = ["A", "BOOK", "from", "School"]
+        assert reference_lexicon.digits_of(iter(tokens)) == [2, 9, 0, 1]
+        assert reference_lexicon.digits_of(t for t in tokens) == [2, 9, 0, 1]
+        assert reference_lexicon.digits_of(tuple(tokens)) == [2, 9, 0, 1]
+        with pytest.raises(UnknownWordError) as err:
+            reference_lexicon.digits_of(iter(["A", "book", "zzzz"]))
+        assert (err.value.word, err.value.position) == ("zzzz", 2)
+
 
 class TestBundledLexicon:
     def test_loads_and_validates(self, default_lexicon):

@@ -26,7 +26,7 @@ from duostego.pipeline import (
     uncover,
 )
 from duostego.sample_grid import select_samples
-from duostego.wav_codec import AudioClip
+from duostego.wav_codec import AudioClip, write_wav
 
 from conftest import same_clip, traced_peak
 from oracles import distortion_oracle
@@ -118,8 +118,15 @@ class TestCover:
         assert replay.sentences == one.sentences
         assert same_clip(replay.stego_audio, one.stego_audio)
 
+    def test_int16_carrier_covers_as_its_uint16_twin(self, default_lexicon):
+        twin = random_carrier(1200, seed=12, channels=2)
+        carrier = AudioClip(8000, 2, twin.samples.view(np.int16).copy())
+        one = cover(carrier, b"signed", default_lexicon, seed=9)
+        two = cover(twin, b"signed", default_lexicon, seed=9)
+        assert write_wav(one.stego_audio) == write_wav(two.stego_audio)
+        assert one.sentences == two.sentences
+
     def test_sentences_name_selected_samples_in_order(self, default_lexicon):
-        from duostego.grammar import decode_sentence
         from duostego.sample_grid import geometry
 
         carrier = random_carrier(1500, seed=40)
@@ -128,7 +135,7 @@ class TestCover:
         geom = geometry(1500)
         selected = select_samples(1500, len(bundle.sentences), seed=41)
         for sentence, expected_index in zip(bundle.sentences, selected):
-            digits = decode_sentence(default_lexicon, sentence)
+            digits = default_lexicon.digits_of(sentence)
             assert geom.index_from_digits(digits) == expected_index
 
     @pytest.mark.parametrize(

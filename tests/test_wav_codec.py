@@ -191,6 +191,15 @@ class TestClipInvariants:
         assert not clip.samples.flags.writeable
         assert np.shares_memory(clip.samples, arr)  # a view, never a copy
 
+    def test_int16_array_viewed_not_copied(self):
+        # the usual signed waveform used to be cast to a second carrier-sized array
+        arr = np.arange(-300, 300, 7, dtype=np.int16)
+        clip = AudioClip(8000, 1, arr)
+        assert np.shares_memory(clip.samples, arr)
+        assert np.array_equal(clip.samples, arr.astype(np.uint16))
+        assert arr.flags.writeable
+        assert not clip.samples.flags.writeable
+
     @pytest.mark.parametrize("shape", [(5000, 2), (2, 3, 4), (1, 0)])
     def test_multidimensional_samples_rejected(self, shape):
         # cover and distortion_report index the samples as one interleaved
@@ -232,14 +241,17 @@ class TestClipInvariants:
             (np.array([-1, 32767, 65535], dtype=np.int64), [0xFFFF, 0x7FFF, 0xFFFF]),
             (np.array([65535, 0], dtype=np.uint64), [0xFFFF, 0]),
             (np.array([-2, 7], dtype=np.int16), [0xFFFE, 7]),
+            (np.array([-2, 7, 300], dtype=">i2"), [0xFFFE, 7, 300]),
+            (np.array([-2, 5, 7, 9], dtype=np.int16)[::2], [0xFFFE, 7]),
             ([], []),
         ],
-        ids=["list", "int64", "uint64", "int16", "empty-float64"],
+        ids=["list", "int64", "uint64", "int16", "int16-big-endian", "int16-strided", "empty-float64"],
     )
     def test_16_bit_integers_stored_as_patterns(self, samples, patterns):
         # a negative value wraps exactly as an int16 array does
         clip = AudioClip(8000, 1, samples)
         assert clip.samples.dtype == np.uint16 and clip.samples.tolist() == patterns
+        assert clip.samples.flags.c_contiguous
         assert parse_wav(write_wav(clip)).samples.tolist() == patterns
 
     @pytest.mark.parametrize(
