@@ -95,6 +95,21 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    """exc's message, led by the path and line of the text file it came from.
+
+    Only the two text readers decode, and the path is the `path`
+    argument of the one whose frame the traceback passes through.
+    """
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code in (_load_lexicon_arg.__code__, _read_sentences.__code__):
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            return f"{tb.tb_frame.f_locals['path']}, line {line}: not UTF-8 text ({exc})"
+        tb = tb.tb_next
+    return str(exc)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duostego",
@@ -141,7 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except (DuostegoError, OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error: {_undecodable(exc)}", file=sys.stderr)
+        return 1
+    except (DuostegoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for family, code in _FAMILY_CODES if isinstance(exc, family)), 1)
     finally:

@@ -1,6 +1,11 @@
 """The package's public names: the library the README documents."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +35,27 @@ def test_every_exported_name_resolves():
 def test_grammar_has_no_decoder():
     # decoding is Lexicon.digits_of, which never consults the grammar
     assert not hasattr(grammar, "decode_sentence")
+
+
+def test_setup_loads_no_thread_pool():
+    # The benchmark's setup_s times a fresh interpreter that runs
+    # bench/child.py's set-up; concurrent.futures would add about 2 ms.
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import json, sys\n"
+        "import child\n"
+        "assert child.main(['setup']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    pythonpath = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        cwd=root / "bench",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules = json.loads(proc.stdout)
+    assert "duostego.pipeline" in modules and "threading" in modules
+    assert "concurrent.futures" not in modules

@@ -224,6 +224,50 @@ class TestExitCodes:
         assert not (tmp_path / "s.wav").exists()
 
 
+class TestUndecodableFileIsNamed:
+    """A file that is not UTF-8 exits 1 naming that file and the line."""
+
+    @pytest.fixture
+    def files(self, tmp_path, carrier_path):
+        _, stego, text, _ = run_cover(tmp_path, carrier_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(make_lexicon_text().encode() + b"0|noun|caf\xe9\n")  # Latin-1
+        line = make_lexicon_text().count("\n") + 1
+        return stego, text, bad, line
+
+    def check(self, capsys, code, bad, line, good=()):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}, line {line}: not UTF-8 text (")
+        assert "'utf-8' codec can't decode byte 0xe9" in err
+        assert all(str(path) not in err for path in good)
+
+    def test_cover_lexicon(self, tmp_path, carrier_path, files, capsys):
+        _, _, bad, line = files
+        payload = tmp_path / "p.bin"
+        payload.write_bytes(b"x")
+        code = main(
+            [
+                "cover", str(carrier_path), str(payload),
+                "-o", str(tmp_path / "s.wav"), "-t", str(tmp_path / "t.txt"),
+                "--lexicon", str(bad),
+            ]
+        )
+        self.check(capsys, code, bad, line, good=[carrier_path, payload])
+
+    def test_uncover_text(self, tmp_path, files, capsys):
+        stego, _, bad, line = files
+        code = main(["uncover", str(stego), str(bad), "-o", str(tmp_path / "o.bin")])
+        self.check(capsys, code, bad, line, good=[stego])
+
+    def test_uncover_lexicon(self, tmp_path, files, capsys):
+        stego, text, bad, line = files
+        out = tmp_path / "o.bin"
+        code = main(["uncover", str(stego), str(text), "-o", str(out), "--lexicon", str(bad)])
+        self.check(capsys, code, bad, line, good=[stego, text])
+        assert not out.exists()
+
+
 # The exit codes README.md lists, for every error class in duostego.errors.
 README_EXIT_CODES = {
     "DuostegoError": 1,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -307,6 +308,26 @@ _clip_pairs = st.integers(0, 100).flatmap(
 )
 
 
+def spy_threads(mp):
+    """The list of threads distortion_report starts while mp is active."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    mp.setattr(pipeline, "Thread", Spy)
+    return started
+
+
+def split(mp, cpus, block=4, span=8):
+    """Make distortion_report cut tiny clips into spans of tiny blocks."""
+    mp.setattr(pipeline, "_BLOCK", block)
+    mp.setattr(pipeline, "_SPAN", span)
+    mp.setattr(pipeline, "_cpu_count", lambda: cpus)
+
+
 class TestDistortionReport:
     def test_identical_clips(self):
         clip = random_carrier(64, seed=30)
@@ -380,22 +401,26 @@ class TestDistortionReport:
         # 2**63 the int64 dots would wrap silently.
         assert pipeline._BLOCK * 0xFFFF**2 < 2**63
 
-    @given(_clip_pairs, st.integers(1, 7))
-    @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2)  # -inf dB
-    @example((np.array([0x7FFF], np.uint16), np.array([0xFFFF], np.uint16)), 1)  # sign wrap
+    # A span of at least `span` samples per worker and up to `cpus`
+    # workers, so small clips are split too.
+    @given(_clip_pairs, st.integers(1, 7), st.integers(1, 20), st.integers(1, 5))
+    @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2, 1, 1)  # -inf dB
+    @example((np.array([0x7FFF], np.uint16), np.array([0xFFFF], np.uint16)), 1, 1, 1)  # sign wrap
     @example(  # the sign wrap alone in a block of 7: the gathered branch
         (
             np.array([0, 0, 0, 0x7FFF, 0, 0, 0], np.uint16),
             np.array([0, 0, 0, 0xFFFF, 0, 0, 0], np.uint16),
         ),
         7,
+        1,
+        1,
     )
     @settings(max_examples=200)
-    def test_blocks_match_whole_array_oracle(self, clips, block):
+    def test_blocks_match_whole_array_oracle(self, clips, block, span, cpus):
         original, masks = clips
         stego = original ^ masks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "_BLOCK", block)
+            split(mp, cpus, block, span)
             report = distortion_report(clip_of(original), clip_of(stego))
         changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
         assert report.samples_changed == changed
@@ -409,13 +434,18 @@ class TestDistortionReport:
     @staticmethod
     def _peak_when_every(stride):
         """Peak bytes of distortion_report when every stride-th sample changed."""
-        # 48 full blocks and a ragged one. The whole-array int64 formula
-        # (oracles.distortion_oracle) peaks near 150 MB here.
+        # 48 full blocks and a ragged one, in two spans whatever the host's
+        # CPU count. The whole-array int64 formula (oracles.distortion_oracle)
+        # peaks near 150 MB here.
         original = random_carrier(3 * (1 << 20) + 5, seed=33)
         masks = np.zeros(original.sample_count, np.uint16)
         masks[::stride] = 5
         stego = original.with_samples(original.samples ^ masks)
-        report, peak = traced_peak(distortion_report, original, stego)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_cpu_count", lambda: 2)
+            started = spy_threads(mp)
+            report, peak = traced_peak(distortion_report, original, stego)
+        assert len(started) == 1
         assert report.samples_changed == masks[::stride].size
         return peak
 
@@ -424,6 +454,89 @@ class TestDistortionReport:
 
     def test_sparse_peak_memory_bounded(self):
         assert self._peak_when_every(10_000) < 4 * 2**20  # gathered branch
+
+
+class TestDistortionSpans:
+    """distortion_report over several spans matches the whole-array oracle."""
+
+    @staticmethod
+    def reports(original, stego):
+        """(report over four spans, one-span report, threads started for the split)."""
+        with pytest.MonkeyPatch.context() as mp:
+            split(mp, 4)
+            started = spy_threads(mp)
+            report = distortion_report(clip_of(original), clip_of(stego))
+            mp.setattr(pipeline, "_cpu_count", lambda: 1)
+            whole = distortion_report(clip_of(original), clip_of(stego))
+        return report, whole, len(started)
+
+    def check(self, original, stego):
+        report, whole, threads = self.reports(original, stego)
+        assert threads == 3
+        assert report == whole
+        changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
+        assert (report.samples_changed, report.max_abs_delta, report.snr_db) == (
+            changed,
+            max_delta,
+            snr,
+        )
+        assert report.mean_abs_delta == pytest.approx(mean_delta, rel=1e-12)
+        return report
+
+    # Blocks of 4 samples, cut as evenly as whole blocks allow. Each last
+    # span is ragged: it ends in a block of one sample.
+    @pytest.mark.parametrize("edges", [[0, 8, 16, 24, 33], [0, 8, 20, 28, 37]])
+    def test_changes_on_every_span_edge(self, edges):
+        original = random_carrier(edges[-1], seed=34).samples
+        stego = original.copy()
+        for start, stop in zip(edges, edges[1:]):
+            stego[[start, stop - 1]] ^= np.uint16(0x8005)
+        report = self.check(original, stego)
+        assert report.samples_changed == 8
+        assert report.max_abs_delta >= 0x7FFB
+
+    def test_ragged_last_span_alone_changed(self):
+        original = random_carrier(37, seed=35).samples
+        stego = original.copy()
+        stego[-1] ^= 3
+        assert self.check(original, stego).samples_changed == 1
+
+    def test_identical_clips(self):
+        original = random_carrier(37, seed=36).samples
+        assert self.check(original, original.copy()).snr_db == math.inf
+
+    def test_silent_original(self):
+        original = np.zeros(37, np.uint16)
+        stego = original.copy()
+        stego[[3, 20, 36]] = [1, 0xFFFF, 7]
+        assert self.check(original, stego).snr_db == -math.inf
+
+    @pytest.mark.parametrize("n, threads", [((1 << 21) - 1, 0), (1 << 21, 1)])
+    def test_clip_below_split_size_starts_no_thread(self, monkeypatch, n, threads):
+        # Real block and span sizes: a second worker needs 2 * 2**20 samples.
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 8)
+        started = spy_threads(monkeypatch)
+        clip = clip_of(np.zeros(n, np.uint16))
+        assert distortion_report(clip, clip).samples_changed == 0
+        assert len(started) == threads
+
+    def test_error_in_later_span_surfaces_as_itself(self, monkeypatch):
+        boom = MemoryError("span")
+        walk = pipeline._span_totals
+
+        def failing(original, stego, start, stop):
+            if start >= 16:
+                raise boom
+            return walk(original, stego, start, stop)
+
+        split(monkeypatch, 4)
+        monkeypatch.setattr(pipeline, "_span_totals", failing)
+        started = spy_threads(monkeypatch)
+        clip = random_carrier(37, seed=37)
+        with pytest.raises(MemoryError) as info:
+            distortion_report(clip, clip)
+        assert info.value is boom
+        assert len(started) == 3 and not any(t.is_alive() for t in started)
 
 
 @pytest.fixture(scope="module")
