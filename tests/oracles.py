@@ -7,6 +7,8 @@
   grammar.PRODUCTIONS, independent of the enumerator;
 * embed_oracle(): the 3-LSB embedding rule as a textual splice of bit
   strings;
+* write_wav_oracle(): a canonical WAV file as one b"".join of its
+  parts, the writer wav_codec.write_wav replaced with one numpy buffer;
 * distortion_oracle(): the distortion statistics as whole-array int64
   arithmetic, the formula pipeline.distortion_report used before it
   went block-wise;
@@ -23,6 +25,7 @@
 """
 
 import math
+import struct
 from collections import deque
 from typing import Sequence
 
@@ -31,6 +34,7 @@ import numpy as np
 from duostego.grammar import PRODUCTIONS, START, _skeletons
 from duostego.lexicon import Lexicon, PosClass
 from duostego.rng import GAMMA, MASK64, MIX1, MIX2, RANGE64, SplitMix64
+from duostego.wav_codec import AudioClip
 
 ORACLE_RULES = {
     "S": [["NP", "VP"], ["VP"]],
@@ -128,6 +132,20 @@ def recognize(skeleton: Sequence[PosClass]) -> bool:
 def embed_oracle(sample: int, chunk: int) -> int:
     """Independent bit-twiddling oracle: splice bit strings textually."""
     return int(format(sample, "016b")[:13] + format(chunk, "03b"), 2)
+
+
+def write_wav_oracle(clip: AudioClip) -> bytes:
+    """The canonical file of clip: header, fmt, data and trailing chunks, joined."""
+    payload = memoryview(clip.samples.astype("<u2", copy=False)).cast("B")
+    block_align = clip.channel_count * 2
+    fmt_body = struct.pack(
+        "<HHIIHH", 1, clip.channel_count, clip.sample_rate, clip.sample_rate * block_align, block_align, 16
+    )
+    parts = []
+    for cid, body in [(b"fmt ", fmt_body), (b"data", payload), *clip.trailing_chunks]:
+        parts += (cid, struct.pack("<I", len(body)), body, b"\x00" * (len(body) & 1))
+    riff_size = 4 + sum(map(len, parts))
+    return b"".join([b"RIFF", struct.pack("<I", riff_size), b"WAVE", *parts])
 
 
 def distortion_oracle(original: np.ndarray, stego: np.ndarray):

@@ -15,6 +15,7 @@ from duostego.errors import (
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
 from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, same_clip, traced_peak
+from oracles import write_wav_oracle
 
 
 def clip_of(samples, rate=8000, channels=1, trailing=()):
@@ -121,6 +122,33 @@ class TestParse:
         buf[-6:] = bytes(6)  # overwrite the data chunk in place
         assert clip.samples.tolist() == [1, 2, 3]
 
+    def test_read_only_memoryview_viewed(self):
+        # bytes(memoryview) always copies; a read-only view needs no copy
+        backing = np.frombuffer(ref_wav_bytes([1, 2, 3]), np.uint8)
+        clip = parse_wav(memoryview(backing))
+        assert clip.samples.tolist() == [1, 2, 3]
+        assert np.shares_memory(clip.samples, backing)
+
+    def test_bytearray_copied_once(self):
+        buf = bytearray(ref_wav_bytes([4, 5]))
+        clip = parse_wav(buf)
+        assert not np.shares_memory(clip.samples, np.frombuffer(buf, np.uint8))
+        buf[-4:] = bytes(4)
+        assert clip.samples.tolist() == [4, 5]
+
+    def test_uint16_array_read_as_bytes(self):
+        wav = ref_wav_bytes([7, 0xBEEF, 9], rate=16000)
+        words = np.frombuffer(wav, "<u2")
+        clip = parse_wav(words)
+        assert (clip.sample_rate, clip.samples.tolist()) == (16000, [7, 0xBEEF, 9])
+        assert np.shares_memory(clip.samples, words)
+
+    def test_chunk_id_in_error_reads_as_bytes(self):
+        # the fmt chunk declares 16 bytes; the RIFF size leaves it 4
+        wav = b"RIFF" + struct.pack("<I", 16) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + pcm_fmt_body()[:4]
+        with pytest.raises(TruncatedError, match=r"chunk b'fmt ' declares 16 bytes but only 4 remain"):
+            parse_wav(memoryview(wav))
+
 
 class TestWrite:
     def test_zero_sample_payload_bytes(self):
@@ -148,10 +176,39 @@ class TestWrite:
     def test_odd_trailing_chunk_padded(self):
         clip = clip_of([1], trailing=((b"note", b"xyz"),))
         out = write_wav(clip)
-        assert out.endswith(b"note" + struct.pack("<I", 3) + b"xyz\x00")
+        tail = b"note" + struct.pack("<I", 3) + b"xyz\x00"
+        assert out[-len(tail) :] == tail
         (declared,) = struct.unpack_from("<I", out, 4)
         assert declared == len(out) - 8
         assert parse_wav(out).trailing_chunks == ((b"note", b"xyz"),)
+
+
+    def test_output_is_read_only(self):
+        out = write_wav(clip_of([1, 2]))
+        assert out.readonly and out.format == "B"
+        with pytest.raises(TypeError):
+            out[0] = 0
+
+    def test_output_is_one_numpy_buffer(self):
+        # a numpy array this size is advised onto huge pages; a joined
+        # bytes object takes a page fault for every 4 KiB it fills
+        out = write_wav(clip_of(np.arange(1000, dtype=np.uint16), trailing=((b"cue ", b"abc"),)))
+        assert isinstance(out.obj, np.ndarray)
+        assert out.nbytes == out.obj.nbytes
+
+    @given(
+        rate=st.integers(1, 192_000),
+        channels=st.integers(1, 8),
+        samples=st.lists(st.integers(0, 0xFFFF), max_size=64),
+        trailing=st.lists(
+            st.tuples(st.binary(min_size=4, max_size=4), st.binary(max_size=9)), max_size=4
+        ),
+    )
+    @settings(max_examples=200)
+    def test_matches_join_oracle(self, rate, channels, samples, trailing):
+        # odd, even and empty trailing bodies; zero samples included
+        clip = AudioClip(rate, channels, np.array(samples, dtype=np.uint16), tuple(trailing))
+        assert bytes(write_wav(clip)) == write_wav_oracle(clip)
 
 
 class TestRoundTrip:
