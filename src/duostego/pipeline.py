@@ -14,7 +14,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
-from threading import Thread
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -212,10 +212,10 @@ def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport
 
     The clip is cut at block edges into one span per worker, with
     min(CPUs, n // _SPAN) workers and at least one: the caller walks
-    the first span and a thread each of the others, numpy releasing the
-    GIL inside the block arithmetic. The integer totals are summed (the
-    max delta maxed), so the report does not depend on the split, and
-    an exception from any span is raised here.
+    the first span and a pool of workers - 1 threads the others, numpy
+    releasing the GIL inside the block arithmetic. The integer totals
+    are summed (the max delta maxed), so the report does not depend on
+    the split, and an exception from any span is raised here.
     """
     n = original.sample_count
     if n != stego.sample_count:
@@ -223,23 +223,17 @@ def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport
     workers = max(1, min(_cpu_count(), n // _SPAN))
     blocks = -(-n // _BLOCK)
     edges = [blocks * i // workers * _BLOCK for i in range(workers)] + [n]
-    totals: list = [None] * workers
+    walk = partial(_span_totals, original.samples, stego.samples)
+    if workers == 1:
+        totals = [walk(0, n)]
+    else:
+        # Imported here: concurrent.futures loads logging, which start-up
+        # and one-span clips need not pay for.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def walk(i: int) -> None:
-        try:
-            totals[i] = _span_totals(original.samples, stego.samples, edges[i], edges[i + 1])
-        except BaseException as exc:  # re-raised by the caller below
-            totals[i] = exc
-
-    threads = [Thread(target=walk, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    walk(0)
-    for thread in threads:
-        thread.join()
-    for result in totals:
-        if isinstance(result, BaseException):
-            raise result
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = pool.map(walk, edges[1:-1], edges[2:])
+            totals = [walk(0, edges[1]), *rest]
     changed, max_delta, abs_sum, signal_power, noise_power = (
         merge(column) for merge, column in zip((sum, max, sum, sum, sum), zip(*totals))
     )

@@ -37,25 +37,39 @@ def test_grammar_has_no_decoder():
     assert not hasattr(grammar, "decode_sentence")
 
 
-def test_setup_loads_no_thread_pool():
-    # The benchmark's setup_s times a fresh interpreter that runs
-    # bench/child.py's set-up; concurrent.futures would add about 2 ms.
+def fresh_modules(script, cwd):
+    """sorted(sys.modules) after script runs in a fresh interpreter in cwd."""
     root = Path(__file__).resolve().parent.parent
-    script = (
-        "import json, sys\n"
-        "import child\n"
-        "assert child.main(['setup']) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+    script += "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     pythonpath = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
-        cwd=root / "bench",
+        cwd=root / cwd,
         capture_output=True,
         text=True,
         check=True,
     )
-    modules = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_setup_loads_no_thread_pool():
+    # The benchmark's setup_s times a fresh interpreter that runs
+    # bench/child.py's set-up; concurrent.futures would add about 2 ms.
+    modules = fresh_modules("import child\nassert child.main(['setup']) == 0\n", "bench")
     assert "duostego.pipeline" in modules and "threading" in modules
     assert "concurrent.futures" not in modules
+
+
+def test_one_span_report_loads_no_thread_pool():
+    # Only a clip of two spans or more needs the pool; concurrent.futures
+    # and the logging it loads would cost a one-span inspect 2-3 ms.
+    script = (
+        "import numpy as np\n"
+        "import duostego, duostego.cli\n"
+        "clip = duostego.AudioClip(8000, 1, np.zeros(1 << 16, np.uint16))\n"
+        "assert duostego.distortion_report(clip, clip).samples_changed == 0\n"
+    )
+    modules = fresh_modules(script, ".")
+    assert "duostego.cli" in modules and "duostego.pipeline" in modules
+    assert "concurrent.futures" not in modules and "logging" not in modules

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -309,16 +310,34 @@ _clip_pairs = st.integers(0, 100).flatmap(
 
 
 def spy_threads(mp):
-    """The list of threads distortion_report starts while mp is active."""
-    started = []
+    """(threads started, spans walked) while mp is active; spans as (start, stop)."""
+    started, spans = [], []
+    start, walk = threading.Thread.start, pipeline._span_totals
 
-    class Spy(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def spy_start(thread):
+        started.append(thread)
+        start(thread)
 
-    mp.setattr(pipeline, "Thread", Spy)
-    return started
+    def spy_walk(original, stego, lo, hi):
+        spans.append((lo, hi))
+        return walk(original, stego, lo, hi)
+
+    mp.setattr(threading.Thread, "start", spy_start)
+    mp.setattr(pipeline, "_span_totals", spy_walk)
+    return started, spans
+
+
+def check_split(started, spans, n, workers, block):
+    """Exactly `workers` spans tile [0, n) at block edges, on workers - 1 threads at most."""
+    spans = sorted(spans)
+    assert len(spans) == workers
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == n
+    assert all(lo % block == 0 for lo, _ in spans)
+    # The pool starts a thread on its first task and may reuse it for the
+    # rest, so only the upper bound is fixed.
+    assert (len(started) == 0) if workers == 1 else (1 <= len(started) <= workers - 1)
+    assert not any(t.is_alive() for t in started)
 
 
 def split(mp, cpus, block=4, span=8):
@@ -443,9 +462,9 @@ class TestDistortionReport:
         stego = original.with_samples(original.samples ^ masks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "_cpu_count", lambda: 2)
-            started = spy_threads(mp)
+            started, spans = spy_threads(mp)
             report, peak = traced_peak(distortion_report, original, stego)
-        assert len(started) == 1
+        check_split(started, spans, original.sample_count, 2, pipeline._BLOCK)
         assert report.samples_changed == masks[::stride].size
         return peak
 
@@ -461,18 +480,18 @@ class TestDistortionSpans:
 
     @staticmethod
     def reports(original, stego):
-        """(report over four spans, one-span report, threads started for the split)."""
+        """(report over four spans, one-span report); checks the four-span split."""
         with pytest.MonkeyPatch.context() as mp:
             split(mp, 4)
-            started = spy_threads(mp)
+            started, spans = spy_threads(mp)
             report = distortion_report(clip_of(original), clip_of(stego))
+            check_split(started, spans, original.size, 4, 4)
             mp.setattr(pipeline, "_cpu_count", lambda: 1)
             whole = distortion_report(clip_of(original), clip_of(stego))
-        return report, whole, len(started)
+        return report, whole
 
     def check(self, original, stego):
-        report, whole, threads = self.reports(original, stego)
-        assert threads == 3
+        report, whole = self.reports(original, stego)
         assert report == whole
         changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
         assert (report.samples_changed, report.max_abs_delta, report.snr_db) == (
@@ -511,14 +530,15 @@ class TestDistortionSpans:
         stego[[3, 20, 36]] = [1, 0xFFFF, 7]
         assert self.check(original, stego).snr_db == -math.inf
 
+    # threads: the most the pool may start, one fewer than the spans.
     @pytest.mark.parametrize("n, threads", [((1 << 21) - 1, 0), (1 << 21, 1)])
     def test_clip_below_split_size_starts_no_thread(self, monkeypatch, n, threads):
         # Real block and span sizes: a second worker needs 2 * 2**20 samples.
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 8)
-        started = spy_threads(monkeypatch)
+        started, spans = spy_threads(monkeypatch)
         clip = clip_of(np.zeros(n, np.uint16))
         assert distortion_report(clip, clip).samples_changed == 0
-        assert len(started) == threads
+        check_split(started, spans, n, threads + 1, pipeline._BLOCK)
 
     def test_error_in_later_span_surfaces_as_itself(self, monkeypatch):
         boom = MemoryError("span")
@@ -531,12 +551,36 @@ class TestDistortionSpans:
 
         split(monkeypatch, 4)
         monkeypatch.setattr(pipeline, "_span_totals", failing)
-        started = spy_threads(monkeypatch)
+        started, _ = spy_threads(monkeypatch)
         clip = random_carrier(37, seed=37)
         with pytest.raises(MemoryError) as info:
             distortion_report(clip, clip)
         assert info.value is boom
-        assert len(started) == 3 and not any(t.is_alive() for t in started)
+        assert 1 <= len(started) <= 3 and not any(t.is_alive() for t in started)
+
+    def test_error_in_callers_span_surfaces_after_the_pool(self, monkeypatch):
+        boom = MemoryError("first span")
+        walk = pipeline._span_totals
+        finished = []
+
+        def failing(original, stego, start, stop):
+            if start == 0:
+                assert threading.current_thread() is caller
+                raise boom
+            time.sleep(0.02)  # still running when the caller's span fails
+            finished.append(start)
+            return walk(original, stego, start, stop)
+
+        caller = threading.current_thread()
+        split(monkeypatch, 4)
+        monkeypatch.setattr(pipeline, "_span_totals", failing)
+        started, _ = spy_threads(monkeypatch)
+        clip = random_carrier(37, seed=38)
+        with pytest.raises(MemoryError) as info:
+            distortion_report(clip, clip)
+        assert info.value is boom
+        assert sorted(finished) == [8, 20, 28]
+        assert 1 <= len(started) <= 3 and not any(t.is_alive() for t in started)
 
 
 @pytest.fixture(scope="module")
