@@ -83,43 +83,37 @@ def _word_draws(lexicon: Lexicon) -> dict[int, tuple[tuple[tuple[str, ...], int]
     return {d: tuple((row[d], RANGE64 - RANGE64 % len(row[d])) for row in rows) for d in DIGITS}
 
 
-class Grammar:
-    """Stateless holder of generate_sentence: pipeline.cover, pinned by bench/layers.py, calls it by name."""
+def generate_sentence(lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
+    """Words realizing `digits`, one word per digit, seed-deterministic.
 
-    def generate_sentence(self, lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
-        """Words realizing `digits`, one word per digit, seed-deterministic.
-
-        Token i is drawn from lexicon category digits[i]; the tokens'
-        part-of-speech sequence is one of _skeletons(len(digits)); a numpy
-        digit array works too. Raises OutOfRangeError for a digit outside 0-9.
-        """
-        if len(digits) == 0:
-            raise ValueError("cannot generate a sentence for zero digits")
-        skeletons, skeleton_limit = _skeleton_draw(len(digits))
-        cells = _word_draws(lexicon)
-        # Only rejections use up the block of len(digits) + 1 draws. A longer
-        # block from the same seed starts with the same draws: walk it again.
-        state = index(seed) & MASK64
-        k = step = len(digits) + 1
-        while True:
-            draws = iter(outputs(state, k))
-            try:
+    Token i is drawn from lexicon category digits[i]; the tokens'
+    part-of-speech sequence is one of _skeletons(len(digits)); a numpy
+    digit array works too. Raises OutOfRangeError for a digit outside 0-9.
+    """
+    if len(digits) == 0:
+        raise ValueError("cannot generate a sentence for zero digits")
+    skeletons, skeleton_limit = _skeleton_draw(len(digits))
+    cells = _word_draws(lexicon)
+    # Only rejections use up the block of len(digits) + 1 draws. A longer
+    # block from the same seed starts with the same draws: walk it again.
+    state = index(seed) & MASK64
+    k = step = len(digits) + 1
+    while True:
+        draws = iter(outputs(state, k))
+        try:
+            z = next(draws)
+            while z >= skeleton_limit:
                 z = next(draws)
-                while z >= skeleton_limit:
+            skeleton = skeletons[z % len(skeletons)]
+            tokens = []
+            for pos, digit in zip(skeleton, digits):
+                words, limit = cells[digit][pos]
+                z = next(draws)
+                while z >= limit:
                     z = next(draws)
-                skeleton = skeletons[z % len(skeletons)]
-                tokens = []
-                for pos, digit in zip(skeleton, digits):
-                    words, limit = cells[digit][pos]
-                    z = next(draws)
-                    while z >= limit:
-                        z = next(draws)
-                    tokens.append(words[z % len(words)])
-                return tokens
-            except StopIteration:
-                k += step
-            except KeyError:
-                raise OutOfRangeError(f"sentence digits must lie in 0-9, got {list(map(int, digits))}") from None
-
-
-DEFAULT_GRAMMAR = Grammar()
+                tokens.append(words[z % len(words)])
+            return tokens
+        except StopIteration:
+            k += step
+        except KeyError:
+            raise OutOfRangeError(f"sentence digits must lie in 0-9, got {list(map(int, digits))}") from None

@@ -26,7 +26,6 @@ from .errors import (
     HeaderCorruptError,
     LengthMismatchError,
 )
-from .grammar import DEFAULT_GRAMMAR
 from .lexicon import Lexicon
 from .payload_codec import HEADER_BITS
 from .rng import SplitMix64
@@ -42,7 +41,9 @@ _BLOCK = 1 << 16
 # distortion_report gives each worker a span of about this many samples
 # or more, so a clip under twice this size is walked by the caller alone.
 _SPAN = 1 << 20
-# uncover's loop calls this name, and bench/layers.py pins that loop and imports the name from here.
+# The pinned cover and uncover loops call these two names, and
+# bench/layers.py imports both of them from here.
+from . import grammar as DEFAULT_GRAMMAR
 decode_sentence = Lexicon.digits_of
 
 

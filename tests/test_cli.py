@@ -1,7 +1,10 @@
 import gc
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duostego import cli, errors
 from duostego.cli import build_parser, main
@@ -67,16 +70,6 @@ class TestCoverUncover:
             words = line.split(" ")
             assert words == line.split()  # single spaces only
             assert all(w == w.lower() and w.isalpha() for w in words)
-
-    def test_uncover_tolerates_whitespace_and_case(self, tmp_path, carrier_path):
-        _, stego, text, payload = run_cover(tmp_path, carrier_path)
-        mangled = "\n\n".join(
-            "   " + line.upper().replace(" ", "\t  ") for line in text.read_text().splitlines()
-        )
-        text.write_text(mangled)
-        recovered = tmp_path / "out.bin"
-        assert main(["uncover", str(stego), str(text), "-o", str(recovered)]) == 0
-        assert recovered.read_bytes() == payload
 
     def test_custom_lexicon(self, tmp_path, carrier_path):
         lex_path = tmp_path / "lex.txt"
@@ -222,6 +215,129 @@ class TestExitCodes:
         assert code == 1
         assert "utf-8" in capsys.readouterr().err
         assert not (tmp_path / "s.wav").exists()
+
+
+# 11 bytes and the 32-bit header fill 40 chunks: 40 four-word sentences.
+READ_PAYLOAD = b"eleven byte"
+
+
+@pytest.fixture(scope="module")
+def covered(tmp_path_factory):
+    """(folder, stego path, location text bytes) of one cover of a 4,000-sample carrier."""
+    folder = tmp_path_factory.mktemp("covered")
+    rng = np.random.default_rng(4000)
+    carrier = folder / "carrier.wav"
+    carrier.write_bytes(ref_wav_bytes(rng.integers(0, 1 << 16, size=4000, dtype=np.uint16).tolist()))
+    code, stego, text, _ = run_cover(folder, carrier, payload=READ_PAYLOAD, seed="7")
+    assert code == 0
+    data = text.read_bytes()
+    assert [len(line.split()) for line in data.splitlines()] == [4] * 40
+    return folder, stego, data
+
+
+def _line_break(separator: str):
+    """A transform that breaks the text's lines at `separator` instead of \\n."""
+    return lambda text: text.replace(b"\n", separator.encode())
+
+
+def _per_line(edit):
+    """A transform that applies `edit` to each line of the text."""
+    return lambda text: b"\n".join(map(edit, text.splitlines())) + b"\n"
+
+
+def _bad_byte_on_line_3(text: bytes) -> bytes:
+    lines = text.split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    return b"\n".join(lines)
+
+
+def _mixed_whitespace_and_case(text: bytes) -> bytes:
+    """Blank lines, indents, tabs and upper case at once."""
+    return b"\n\n".join(b"   " + line.upper().replace(b" ", b"\t  ") for line in text.splitlines())
+
+
+class TestReadingLocationText:
+    """Known answers for how uncover reads the location text, and a byte fuzz.
+
+    They pin today's reader, so a rewrite of it shows every answer it changes.
+    """
+
+    @pytest.mark.parametrize(
+        "transform, code, fragment",
+        [
+            pytest.param(_line_break("\r\n"), 0, "", id="crlf"),
+            pytest.param(_line_break("\r"), 0, "", id="lone-cr"),
+            pytest.param(_line_break("\n\n"), 0, "", id="blank-lines"),
+            pytest.param(_line_break("\n \t \n"), 0, "", id="whitespace-only-lines"),
+            pytest.param(lambda text: text.replace(b" ", b"\t"), 0, "", id="tabs"),
+            pytest.param(_per_line(lambda line: b"  " + line + b" \t"), 0, "", id="leading-and-trailing-spaces"),
+            pytest.param(bytes.title, 0, "", id="title-case"),
+            pytest.param(bytes.upper, 0, "", id="upper-case"),
+            pytest.param(lambda text: text.rstrip(b"\n"), 0, "", id="no-final-newline"),
+            *(
+                pytest.param(_line_break(separator), 0, "", id=f"separator-u{ord(separator):04x}")
+                for separator in "\u2028\u2029\x85\f\v\x1c"
+            ),
+            pytest.param(lambda text: text.replace(b" ", "\u00a0".encode()), 0, "", id="nbsp-between-words"),
+            pytest.param(_mixed_whitespace_and_case, 0, "", id="blank-lines-indents-tabs-upper-case"),
+            pytest.param(
+                lambda text: "\u200b".encode() + text, 6, "unknown word '\\u200b", id="zero-width-space"
+            ),
+            pytest.param(
+                lambda text: text.replace(b" ", b"\x00", 1), 6, "sentence 0: 3 words, expected 4", id="nul-byte"
+            ),
+            pytest.param(lambda text: b"", 6, "0 sentences supply only 0 bits", id="empty"),
+            pytest.param(_bad_byte_on_line_3, 1, "{path}, line 3: not UTF-8 text", id="not-utf-8"),
+            pytest.param(
+                lambda text: b"\xef\xbb\xbf" + text,
+                0,
+                "",
+                id="leading-bom",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the BOM is read as part of the first word until the text is read as "
+                    "utf-8-sig (ROADMAP item 3)",
+                ),
+            ),
+        ],
+    )
+    def test_known_answers(self, tmp_path, covered, capsys, transform, code, fragment):
+        _, stego, data = covered
+        text, recovered = tmp_path / "text.txt", tmp_path / "out.bin"
+        text.write_bytes(transform(data))
+        assert main(["uncover", str(stego), str(text), "-o", str(recovered)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert recovered.read_bytes() == READ_PAYLOAD
+        else:
+            assert fragment.format(path=text) in err
+            assert not recovered.exists()
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 1 << 16), st.integers(0, 255)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_bytes_exit_with_a_known_code(self, covered, mutations):
+        folder, stego, data = covered
+        data = bytearray(data)
+        for kind, pos, value in mutations:
+            pos %= len(data) + 1
+            if kind == "insert":
+                data.insert(pos, value)
+            elif pos < len(data):
+                if kind == "set":
+                    data[pos] = value
+                else:
+                    del data[pos]
+        # A fresh folder per example: no example rewrites another's files.
+        example = Path(tempfile.mkdtemp(dir=folder))
+        (example / "text.txt").write_bytes(bytes(data))
+        argv = ["uncover", str(stego), str(example / "text.txt"), "-o", str(example / "out.bin")]
+        assert main(argv) in {0, 1, 4, 5, 6}
 
 
 class TestUndecodableFileIsNamed:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from duostego import cover, select_samples, uncover, write_wav
-from duostego.grammar import DEFAULT_GRAMMAR
+from duostego.grammar import generate_sentence
 from duostego.rng import SplitMix64
 from duostego.sample_grid import geometry
 from duostego.wav_codec import AudioClip
@@ -139,7 +139,7 @@ def test_select_samples_known_answer_through_a_rejection():
     ],
 )
 def test_generate_sentence_known_answers(default_lexicon, digits, seed, expected):
-    assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, list(digits), seed) == expected
+    assert generate_sentence(default_lexicon, list(digits), seed) == expected
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ def test_generate_sentence_known_answers_through_a_rejection(
         bounds += [len(words_for(default_lexicon, d, pos)) for d, pos in zip(digits, skeleton)]
     assert raw[rejected_row] == _rejection_limit(bounds[rejected_row])
     assert all(z < _rejection_limit(b) for z, b in zip(raw[:rejected_row], bounds))
-    assert DEFAULT_GRAMMAR.generate_sentence(default_lexicon, digits, seed) == expected
+    assert generate_sentence(default_lexicon, digits, seed) == expected
 
 
 # The skeleton order is wire format: generate_sentence picks a skeleton by

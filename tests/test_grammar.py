@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from duostego import grammar as grammar_module
+from duostego import grammar
 from duostego.errors import OutOfRangeError
-from duostego.grammar import Grammar
+from duostego.grammar import generate_sentence
 from duostego.lexicon import PosClass, load_default_lexicon
 from duostego.rng import RANGE64, SplitMix64, outputs
 
@@ -15,11 +15,6 @@ P = PosClass
 
 # hypothesis-driven tests cannot take fixtures; share one loaded lexicon
 _SESSION_LEXICON = load_default_lexicon()
-
-
-@pytest.fixture(scope="module")
-def grammar():
-    return Grammar()
 
 
 class TestSkeletonEnumeration:
@@ -77,9 +72,9 @@ class TestRecognize:
 
 
 class TestGenerate:
-    def test_paper_coordinate_digits(self, grammar, reference_lexicon):
+    def test_paper_coordinate_digits(self, reference_lexicon):
         digits = [2, 9, 0, 1]
-        tokens = grammar.generate_sentence(reference_lexicon, digits, seed=7)
+        tokens = generate_sentence(reference_lexicon, digits, seed=7)
         assert len(tokens) == 4
         assert reference_lexicon.digits_of(tokens) == digits
         # the realized part-of-speech sequence must be a derivable skeleton
@@ -91,19 +86,19 @@ class TestGenerate:
         ]
         assert candidates
 
-    def test_single_digit_yields_a_verb(self, grammar, default_lexicon):
-        tokens = grammar.generate_sentence(default_lexicon, [5], seed=3)
+    def test_single_digit_yields_a_verb(self, default_lexicon):
+        tokens = generate_sentence(default_lexicon, [5], seed=3)
         assert len(tokens) == 1
         assert tokens[0] in words_for(default_lexicon, 5, P.VERB)
 
-    def test_deterministic(self, grammar, default_lexicon):
-        first = grammar.generate_sentence(default_lexicon, [1, 2, 3, 4], seed=99)
-        second = grammar.generate_sentence(default_lexicon, [1, 2, 3, 4], seed=99)
+    def test_deterministic(self, default_lexicon):
+        first = generate_sentence(default_lexicon, [1, 2, 3, 4], seed=99)
+        second = generate_sentence(default_lexicon, [1, 2, 3, 4], seed=99)
         assert first == second
 
-    def test_seed_varies_output(self, grammar, default_lexicon):
+    def test_seed_varies_output(self, default_lexicon):
         outputs = {
-            tuple(grammar.generate_sentence(default_lexicon, [4, 4, 4, 4], seed=s))
+            tuple(generate_sentence(default_lexicon, [4, 4, 4, 4], seed=s))
             for s in range(20)
         }
         assert len(outputs) > 1
@@ -113,33 +108,33 @@ class TestGenerate:
         [np.int64(12345), np.uint64(12345), np.int32(12345), np.uint32(12345), np.int16(-7), np.uint8(200),
          np.int64(-(2**63)), np.uint64(2**64 - 1)],
     )
-    def test_numpy_integer_seed_matches_int(self, grammar, default_lexicon, seed):
+    def test_numpy_integer_seed_matches_int(self, default_lexicon, seed):
         # numpy seeds used to overflow in `seed & MASK64`.
         digits = [1, 2, 3, 0, 9]
-        assert grammar.generate_sentence(default_lexicon, digits, seed) == grammar.generate_sentence(
+        assert generate_sentence(default_lexicon, digits, seed) == generate_sentence(
             default_lexicon, digits, int(seed)
         )
 
-    def test_empty_digits_rejected(self, grammar, default_lexicon):
+    def test_empty_digits_rejected(self, default_lexicon):
         with pytest.raises(ValueError):
-            grammar.generate_sentence(default_lexicon, [], seed=0)
+            generate_sentence(default_lexicon, [], seed=0)
 
     @pytest.mark.parametrize("digits", [(7,), (2, 9, 0, 1), (3, 1, 4, 1, 5, 9, 2, 0), (0,) * 12])
     @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1, 9215558724009774362])
-    def test_numpy_digit_array_matches_tuple(self, grammar, default_lexicon, digits, seed):
+    def test_numpy_digit_array_matches_tuple(self, default_lexicon, digits, seed):
         # `if not digits` used to raise numpy's ambiguous-truth-value error
         array = np.array(digits)
-        assert grammar.generate_sentence(default_lexicon, array, seed) == grammar.generate_sentence(
+        assert generate_sentence(default_lexicon, array, seed) == generate_sentence(
             default_lexicon, tuple(digits), seed
         )
 
-    def test_empty_digit_array_rejected(self, grammar, default_lexicon):
+    def test_empty_digit_array_rejected(self, default_lexicon):
         with pytest.raises(ValueError, match="zero digits"):
-            grammar.generate_sentence(default_lexicon, np.array([], dtype=np.int64), seed=0)
+            generate_sentence(default_lexicon, np.array([], dtype=np.int64), seed=0)
 
-    def test_digit_array_outside_0_to_9_rejected(self, grammar, default_lexicon):
+    def test_digit_array_outside_0_to_9_rejected(self, default_lexicon):
         with pytest.raises(OutOfRangeError, match=r"got \[1, -1\]$"):
-            grammar.generate_sentence(default_lexicon, np.array([1, -1]), seed=3)
+            generate_sentence(default_lexicon, np.array([1, -1]), seed=3)
 
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=12),
@@ -147,9 +142,8 @@ class TestGenerate:
     )
     @settings(max_examples=150, deadline=None)
     def test_decode_inverts_generate(self, digits, seed):
-        grammar = Grammar()
         lexicon = _SESSION_LEXICON
-        tokens = grammar.generate_sentence(lexicon, digits, seed)
+        tokens = generate_sentence(lexicon, digits, seed)
         assert lexicon.digits_of(tokens) == digits
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=8), st.integers(0, 2**64 - 1))
@@ -157,7 +151,7 @@ class TestGenerate:
     @example(digits=[9] * 8, seed=2**64 - 1)
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_oracle(self, digits, seed):
-        tokens = Grammar().generate_sentence(_SESSION_LEXICON, digits, seed)
+        tokens = generate_sentence(_SESSION_LEXICON, digits, seed)
         assert tokens == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
 
 
@@ -182,7 +176,7 @@ def blocks(monkeypatch):
         sizes.append(k)
         return outputs(state, k)
 
-    monkeypatch.setattr(grammar_module, "outputs", spy)
+    monkeypatch.setattr(grammar, "outputs", spy)
     return sizes
 
 
@@ -217,7 +211,7 @@ class TestRejection:
         bounds = _bounds(_SESSION_LEXICON, digits, raw[1] if row == 0 else raw[0])
         assert raw[row] == _limit(bounds[row])
         assert all(z < _limit(b) for z, b in zip(raw[:row], bounds))
-        tokens = Grammar().generate_sentence(_SESSION_LEXICON, digits, seed)
+        tokens = generate_sentence(_SESSION_LEXICON, digits, seed)
         assert tokens == expected == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
         assert blocks == [len(digits) + 1, 2 * (len(digits) + 1)]
 
@@ -226,7 +220,7 @@ class TestRejection:
         # nothing: even this seed's first draw, the largest there is, is kept.
         seed = 3558559446808474027
         assert SplitMix64(seed).next64() == RANGE64 - 1 < _limit(len(skeletons_of_length(1)))
-        tokens = Grammar().generate_sentence(_SESSION_LEXICON, [7], seed)
+        tokens = generate_sentence(_SESSION_LEXICON, [7], seed)
         assert tokens == ["forget"] == generate_sentence_oracle(_SESSION_LEXICON, [7], seed)
         assert blocks == [2]
 
@@ -257,8 +251,8 @@ class TestRejection:
         for row in rows:  # each inserted draw is rejected by the draw it stands in for
             assert rejected >= _limit(bounds[row - sum(r < row for r in rows)])
         expected = generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
-        monkeypatch.setattr(grammar_module, "outputs", stream)
-        assert Grammar().generate_sentence(_SESSION_LEXICON, digits, seed) == expected
+        monkeypatch.setattr(grammar, "outputs", stream)
+        assert generate_sentence(_SESSION_LEXICON, digits, seed) == expected
         # Each block is n + 1 longer than the last, until one holds the
         # n + 1 kept draws and every inserted one.
         block = len(digits) + 1
@@ -269,4 +263,4 @@ class TestRejection:
     def test_digits_outside_0_to_9_rejected(self, digits):
         # A negative digit used to wrap round to category 9 silently.
         with pytest.raises(OutOfRangeError, match="0-9"):
-            Grammar().generate_sentence(_SESSION_LEXICON, digits, 3)
+            generate_sentence(_SESSION_LEXICON, digits, 3)
