@@ -11,6 +11,7 @@ lexicon, but no seed: the sample locations travel in the text.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import secrets
 from dataclasses import dataclass
@@ -54,6 +55,11 @@ class StegoBundle:
     stego_audio: AudioClip
     sentences: tuple[tuple[str, ...], ...]
     seed_used: int
+
+    def __post_init__(self):
+        # A numpy integer seed is kept as a Python int, so the bundle's
+        # seed prints, compares and serialises like any other.
+        object.__setattr__(self, "seed_used", operator.index(self.seed_used))
 
 
 @dataclass(frozen=True)

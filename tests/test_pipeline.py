@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import time
@@ -152,6 +153,12 @@ class TestCover:
         assert bundle.sentences == expected.sentences
         assert same_clip(bundle.stego_audio, expected.stego_audio)
         assert bundle.seed_used == int(seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**63 + 5), np.int64(5)], ids=["uint64", "int64"])
+    def test_numpy_integer_seed_used_is_a_python_int(self, default_lexicon, seed):
+        bundle = cover(random_carrier(400, seed=7), b"secret", default_lexicon, seed=seed)
+        assert type(bundle.seed_used) is int
+        assert json.loads(json.dumps({"seed": bundle.seed_used})) == {"seed": int(seed)}
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, default_lexicon, seed):

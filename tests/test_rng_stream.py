@@ -1,0 +1,62 @@
+"""SplitMix64's stream across next64's block edges.
+
+next64 hands out outputs from blocks of _BLOCK, and below_many drops a
+block's unread outputs and starts at the stream's position. Every case
+compares the values and _state after each step with a generator that
+makes one output at a time, mix(seed + k * GAMMA), and with
+oracles.below for the bounded draws.
+"""
+
+import pytest
+
+from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, mix
+
+from oracles import below
+
+SEEDS = [0, 1234567, RANGE64 - 1]
+# Bounds that keep every draw, and bounds that reject about half of them.
+BOUNDS = {
+    "small": range(1000, 990, -1),
+    "rejecting": range(2**63 + 1, 2**63 + 21),
+}
+
+
+class OneAtATime:
+    """The k-th output is mix(seed + k * GAMMA), computed when asked for."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next64(self) -> int:
+        self._state = (self._state + GAMMA) & MASK64
+        return mix(self._state)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS.values(), ids=BOUNDS.keys())
+@pytest.mark.parametrize("calls", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_next64_below_many_next64_match_one_at_a_time(seed, calls, bounds):
+    rng, reference = SplitMix64(seed), OneAtATime(seed)
+    assert [rng.next64() for _ in range(calls)] == [reference.next64() for _ in range(calls)]
+    assert rng._state == reference._state
+    assert list(rng.below_many(bounds)) == [below(reference, b) for b in bounds]
+    assert rng._state == reference._state
+    assert [rng.next64() for _ in range(_BLOCK + 1)] == [
+        reference.next64() for _ in range(_BLOCK + 1)
+    ]
+    assert rng._state == reference._state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_same_seed_streams_share_no_block(seed):
+    # two draws twice as often as one, so the streams sit at different
+    # positions whenever they are read.
+    one, two = SplitMix64(seed), SplitMix64(seed)
+    one_reference, two_reference = OneAtATime(seed), OneAtATime(seed)
+    for _ in range(_BLOCK + 3):
+        assert one.next64() == one_reference.next64()
+        assert [two.next64(), two.next64()] == [two_reference.next64(), two_reference.next64()]
+    bounds = BOUNDS["rejecting"]
+    assert list(one.below_many(bounds)) == [below(one_reference, b) for b in bounds]
+    assert [two.next64() for _ in range(_BLOCK)] == [two_reference.next64() for _ in range(_BLOCK)]
+    assert (one._state, two._state) == (one_reference._state, two_reference._state)
