@@ -9,9 +9,9 @@ java.util.SplittableRandom), chosen for its tiny state and trivially
 portable arithmetic.
 
 SplitMix64 is counter-based: its k-th output is mix(seed + k * GAMMA).
-mix takes a Python int (a numpy scalar that wraps warns, and warnings
-are errors under `-W error`), a uint64 array (the blocks next64 hands
-out one output at a time and below_many restarts after a rejected draw;
+Each job reads one stream from its own seed, through SplitMix64.next64
+or below_many. mix takes a Python int (a numpy scalar that wraps warns,
+and warnings are errors under `-W error`), a uint64 array (their blocks;
 arrays wrap silently), or k counters in 128-bit lanes of one int
 (outputs). A 64 x 64-bit product fits its lane, so no carry crosses
 lanes, but z >> 30 moves lane t + 1's low bits into the top of lane t:
@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 import struct
 from functools import cache
+from itertools import chain, count
 from typing import Iterator
 
 import numpy as np
@@ -34,7 +35,7 @@ GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
-# Draws per next64 or below_many block: a few tens of kB of temporaries,
+# Outputs per next64 or below_many block: a few tens of kB of temporaries,
 # so the arrays stay in cache and a long stream adds little to peak memory.
 _BLOCK = 1 << 12
 # k * GAMMA for k = 1.._BLOCK: a block's counters, less the state.
@@ -63,52 +64,41 @@ def outputs(state: int, k: int) -> tuple[int, ...]:
     return unpack(mix((state * ones + steps) & mask, mask).to_bytes(size, "little"))
 
 
-class SplitMix64:
-    """SplitMix64 stream over a 64-bit seed (any integer type, taken mod 2**64)."""
+def _block(counter: int) -> list[int]:
+    """The _BLOCK outputs after counter (any int, taken mod 2**64), as ints."""
+    return mix(_STEPS + np.uint64(counter & MASK64)).tolist()
 
-    __slots__ = ("_end", "_ahead")
+
+class SplitMix64:
+    """SplitMix64 stream over a 64-bit seed (any integer type, taken mod 2**64): next64() is its next output."""
+
+    __slots__ = ("next64",)
 
     def __init__(self, seed: int):
-        # _end is the counter of the last output in the current block;
-        # _ahead iterates over the block's outputs not yet handed out.
-        self._end = operator.index(seed) & MASK64
-        self._ahead = iter(())
+        # One C-level iterator over blocks; a generator function is slower per output.
+        blocks = map(_block, count(operator.index(seed) & MASK64, _BLOCK * GAMMA))
+        self.next64 = chain.from_iterable(blocks).__next__
 
-    @property
-    def _state(self) -> int:
-        """Counter of the last output handed out: the stream's position."""
-        return (self._end - operator.length_hint(self._ahead) * GAMMA) & MASK64
 
-    def next64(self) -> int:
-        """Next raw 64-bit output, from a block of _BLOCK computed as in below_many."""
-        try:
-            return next(self._ahead)
-        except StopIteration:
-            self._ahead = iter(mix(_STEPS + np.uint64(self._end)).tolist())
-            self._end = (self._end + _BLOCK * GAMMA) & MASK64
-            return next(self._ahead)
+def below_many(seed: int, bounds: range) -> Iterator[int]:
+    """Uniform integers in [0, b) for each b in bounds from seed's stream, _BLOCK draws at a time.
 
-    def below_many(self, bounds: range) -> Iterator[int]:
-        """Uniform integers in [0, b) for each b in bounds, _BLOCK draws at a time.
-
-        Every bound must lie in [1, 2**64). A raw draw z is kept for b iff
-        it lies under the largest multiple of b that fits in 64 bits, i.e.
-        iff z - z % b <= 2**64 - b. Each block starts at _state, dropping
-        next64's unread outputs. At a block's first rejected row the
-        state moves past the rejected draw, the rows before it are
-        yielded, and the next block starts at that row's bound.
-        """
-        if bounds and not 0 < min(bounds[0], bounds[-1]) <= max(bounds[0], bounds[-1]) < RANGE64:
-            raise ValueError(f"bounds must lie in [1, 2**64), got {bounds}")
-        while bounds:
-            state = self._state
-            block = bounds[:_BLOCK]
-            b = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
-            z = mix(_STEPS[: b.size] + np.uint64(state))
-            values = z % b
-            rejected = np.flatnonzero(z - values > -b)
-            kept = int(rejected[0]) if rejected.size else b.size
-            self._end = (state + (kept + bool(rejected.size)) * GAMMA) & MASK64
-            self._ahead = iter(())
-            yield from values[:kept].tolist()
-            bounds = bounds[kept:]
+    Every bound must lie in [1, 2**64). A raw draw z is kept for b iff
+    it lies under the largest multiple of b that fits in 64 bits, i.e.
+    iff z - z % b <= 2**64 - b. At a block's first rejected row the
+    counter moves past the rejected draw, the rows before it are
+    yielded, and the next block starts at that row's bound.
+    """
+    if bounds and not 0 < min(bounds[0], bounds[-1]) <= max(bounds[0], bounds[-1]) < RANGE64:
+        raise ValueError(f"bounds must lie in [1, 2**64), got {bounds}")
+    state = operator.index(seed) & MASK64
+    while bounds:
+        block = bounds[:_BLOCK]
+        b = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
+        z = mix(_STEPS[: b.size] + np.uint64(state))
+        values = z % b
+        rejected = np.flatnonzero(z - values > -b)
+        kept = int(rejected[0]) if rejected.size else b.size
+        state = (state + (kept + bool(rejected.size)) * GAMMA) & MASK64
+        yield from values[:kept].tolist()
+        bounds = bounds[kept:]

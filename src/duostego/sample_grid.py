@@ -25,7 +25,7 @@ from .errors import (
     RepeatedPositionError,
     ZeroSamplesError,
 )
-from .rng import SplitMix64
+from .rng import below_many
 
 CHUNK_MASK = 0b111
 KEEP_MASK = 0xFFF8  # upper thirteen bits of a 16-bit sample
@@ -99,7 +99,7 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
         raise ValueError(f"selection count must be non-negative, got {m}")
     if not 0 <= seed < 1 << 64:
         raise OutOfRangeError(f"seed {seed} outside [0, 2**64)")
-    draws = SplitMix64(seed).below_many(range(n, n - m, -1))
+    draws = below_many(seed, range(n, n - m, -1))
     displaced: dict[int, int] = {}
     out = []
     for t, draw in enumerate(draws):

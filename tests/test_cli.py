@@ -143,6 +143,12 @@ class TestExitCodes:
         assert main(["capacity", str(fake)]) == 5
         capsys.readouterr()
 
+    def test_short_fmt_chunk_is_5(self, tmp_path, capsys):
+        carrier = tmp_path / "short.wav"
+        carrier.write_bytes(raw_wav_bytes([(b"fmt ", pcm_fmt_body()[:14]), (b"data", b"\x00\x00")]))
+        assert main(["capacity", str(carrier)]) == 5
+        assert "fmt chunk is 14 bytes, need at least 16" in capsys.readouterr().err
+
     @pytest.mark.parametrize("channels,rate", [(2, 3_000_000_000), (40_000, 8000)])
     def test_fmt_the_writer_cannot_hold_is_5(self, tmp_path, capsys, channels, rate):
         # write_wav could not write such a clip back, so parse_wav refuses it

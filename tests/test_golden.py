@@ -16,12 +16,12 @@ import pytest
 
 from duostego import cover, select_samples, uncover, write_wav
 from duostego.grammar import generate_sentence
-from duostego.rng import SplitMix64
+from duostego.rng import SplitMix64, below_many
 from duostego.sample_grid import geometry
 from duostego.wav_codec import AudioClip
 
 from conftest import words_for
-from oracles import _seed_whose_first_output_is, skeletons_of_length
+from oracles import _seed_whose_first_output_is, below, skeletons_of_length
 
 
 def _rejection_limit(bound: int) -> int:
@@ -29,9 +29,9 @@ def _rejection_limit(bound: int) -> int:
     return (1 << 64) - (1 << 64) % bound
 
 
-def _below(rng: SplitMix64, bound: int) -> int:
+def _below(seed: int, bound: int) -> int:
     """One draw in [0, bound) through below_many."""
-    return next(rng.below_many(range(bound, bound + 1)))
+    return next(below_many(seed, range(bound, bound + 1)))
 
 
 def test_splitmix64_reference_outputs():
@@ -69,8 +69,10 @@ def test_splitmix64_reference_outputs():
     ],
 )
 def test_below_known_answers(bound, expected, raw_draws):
+    # Six draws with one bound from one stream; below_many takes a range
+    # of bounds, which cannot repeat one, so the scalar oracle draws them.
     rng = SplitMix64(20240601)
-    assert [_below(rng, bound) for _ in range(6)] == expected
+    assert [below(rng, bound) for _ in range(6)] == expected
     # The stream resumes right after the last raw draw, rejected ones included.
     reference = SplitMix64(20240601)
     for _ in range(raw_draws):
@@ -86,7 +88,7 @@ def test_below_rejection_limit(bound):
     limit = (1 << 64) - (1 << 64) % bound
     kept = _seed_whose_first_output_is(limit - 1)
     assert SplitMix64(kept).next64() == limit - 1
-    assert _below(SplitMix64(kept), bound) == (limit - 1) % bound
+    assert _below(kept, bound) == (limit - 1) % bound
     if limit == 1 << 64:
         return
     rejected = _seed_whose_first_output_is(limit)
@@ -95,7 +97,7 @@ def test_below_rejection_limit(bound):
     draw = reference.next64()
     while draw >= limit:
         draw = reference.next64()
-    assert _below(SplitMix64(rejected), bound) == draw % bound
+    assert _below(rejected, bound) == draw % bound
 
 
 @pytest.mark.parametrize(

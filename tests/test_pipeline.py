@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import threading
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duostego import payload_codec, pipeline
+from duostego import cli, payload_codec, pipeline
 from duostego.errors import (
     BadSentenceLengthError,
     CapacityExceededError,
@@ -28,7 +29,7 @@ from duostego.pipeline import (
     distortion_report,
     uncover,
 )
-from duostego.sample_grid import select_samples
+from duostego.sample_grid import embed_chunks, select_samples
 from duostego.wav_codec import AudioClip, write_wav
 
 from conftest import same_clip, traced_peak
@@ -267,6 +268,35 @@ class TestUncover:
         bundle = cover(carrier, b"", default_lexicon, seed=26)
         with pytest.raises(HeaderCorruptError):
             uncover(bundle.stego_audio, bundle.sentences[:5], default_lexicon)
+
+    @pytest.mark.parametrize(
+        "size, declared, message",
+        [
+            # 24 chunks hold 72 bits, 56 more than the header and 16 bits.
+            (5, 16, "24 sentences are inconsistent with a declared payload of 16 bits"),
+            # 27 chunks hold 81 bits: the header and 49 bits, with no slack.
+            (6, 49, "declared payload of 49 bits is not a whole number of bytes"),
+        ],
+    )
+    def test_header_inconsistent_with_text(self, tmp_path, capsys, default_lexicon, size, declared, message):
+        # The stego is embedded again with the length header rewritten;
+        # the text, and so the positions, stay those of the true payload.
+        carrier, seed = random_carrier(1000, seed=37), 38
+        bundle = cover(carrier, bytes(range(size)), default_lexicon, seed=seed)
+        bits = payload_codec.frame(payload_codec.bytes_to_bits(bytes(range(size))))
+        bits[: payload_codec.HEADER_BITS] = payload_codec.bytes_to_bits(struct.pack(">I", declared))
+        chunks = payload_codec.chunk(bits)
+        indices = np.array(select_samples(carrier.sample_count, len(chunks), seed))
+        stego = carrier.with_samples(embed_chunks(carrier.samples, indices, chunks))
+        assert len(bundle.sentences) == len(chunks)
+        with pytest.raises(HeaderCorruptError, match=message):
+            uncover(stego, bundle.sentences, default_lexicon)
+        stego_path, text_path, out = tmp_path / "stego.wav", tmp_path / "text.txt", tmp_path / "out.bin"
+        stego_path.write_bytes(write_wav(stego))
+        text_path.write_text("".join(" ".join(words) + "\n" for words in bundle.sentences))
+        assert cli.main(["uncover", str(stego_path), str(text_path), "-o", str(out)]) == 6
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_sentences(self, default_lexicon):
         carrier = random_carrier(100, seed=27)
@@ -536,6 +566,22 @@ class TestDistortionSpans:
         stego = original.copy()
         stego[[3, 20, 36]] = [1, 0xFFFF, 7]
         assert self.check(original, stego).snr_db == -math.inf
+
+    @pytest.mark.parametrize("cpus", [None, 1, 4])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus):
+        # Without os.sched_getaffinity, os.cpu_count gives the CPUs, or 1
+        # when it cannot tell; the report does not depend on the split.
+        original = random_carrier(37, seed=39).samples
+        stego = original ^ np.uint16(5)
+        whole = distortion_report(clip_of(original), clip_of(stego))
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "_BLOCK", 4)
+        monkeypatch.setattr(pipeline, "_SPAN", 8)
+        started, spans = spy_threads(monkeypatch)
+        assert pipeline._cpu_count() == (cpus or 1)
+        assert distortion_report(clip_of(original), clip_of(stego)) == whole
+        check_split(started, spans, 37, cpus or 1, 4)
 
     # threads: the most the pool may start, one fewer than the spans.
     @pytest.mark.parametrize("n, threads", [((1 << 21) - 1, 0), (1 << 21, 1)])

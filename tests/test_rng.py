@@ -1,17 +1,17 @@
 """The block and lane forms of SplitMix64 against its scalar form.
 
 below_many draws blocks of rows as uint64 arrays and restarts a block
-after its first rejected row. Every case compares both the values and
-the stream's state afterwards with a loop of oracles.below. outputs
-draws k outputs at once in 128-bit lanes of one int; its cases compare
-with k calls of next64, and mix on each form with mix on each counter.
+after its first rejected row. Every case compares its values with a loop
+of oracles.below over next64 from the same seed. outputs draws k outputs
+at once in 128-bit lanes of one int; its cases compare with k calls of
+next64, and mix on each form with mix on each counter.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, _lanes, mix, outputs
+from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, _lanes, below_many, mix, outputs
 
 from oracles import _seed_whose_first_output_is, below
 
@@ -20,12 +20,11 @@ TOP = RANGE64 - 1
 
 def _scalar(seed: int, bounds: range):
     rng = SplitMix64(seed)
-    return [below(rng, b) for b in bounds], rng._state
+    return [below(rng, b) for b in bounds]
 
 
 def _blocked(seed: int, bounds: range):
-    rng = SplitMix64(seed)
-    return list(rng.below_many(bounds)), rng._state
+    return list(below_many(seed, bounds))
 
 
 def _seed_rejecting(bound: int, row: int) -> int:
@@ -85,8 +84,8 @@ def test_forced_rejection(row):
     limit = RANGE64 - RANGE64 % bound
     assert raw[row] == limit
     assert all(z < RANGE64 - RANGE64 % b for z, b in zip(raw[:row], bounds))
-    values, state = _blocked(seed, bounds)
-    assert (values, state) == _scalar(seed, bounds)
+    values = _blocked(seed, bounds)
+    assert values == _scalar(seed, bounds)
     # The rejected draw is replaced by the next raw draw.
     assert raw[row + 1] < limit
     assert values[row] == raw[row + 1] % bound
@@ -95,14 +94,14 @@ def test_forced_rejection(row):
 @pytest.mark.parametrize("bounds", [range(0, 3), range(5, -1, -1), range(RANGE64 - 1, RANGE64 + 1)])
 def test_bounds_outside_the_range_rejected(bounds):
     with pytest.raises(ValueError):
-        next(SplitMix64(1).below_many(bounds))
+        next(below_many(1, bounds))
 
 
 def test_below_rejects_bounds_past_64_bits():
     # Bounds are uint64 arrays, so 2**64 - 1 is the largest one.
-    assert next(SplitMix64(1).below_many(range(TOP, TOP + 1))) < TOP
+    assert next(below_many(1, range(TOP, TOP + 1))) < TOP
     with pytest.raises(ValueError):
-        next(SplitMix64(1).below_many(range(RANGE64, RANGE64 + 1)))
+        next(below_many(1, range(RANGE64, RANGE64 + 1)))
 
 
 # Lane t of a block after state holds the counter state + (t + 1) * GAMMA

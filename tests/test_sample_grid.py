@@ -169,6 +169,10 @@ class TestSelection:
         with pytest.raises(CapacityExceededError):
             select_samples(5, 6, seed=0)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            select_samples(10, -1, 0)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(OutOfRangeError):

@@ -97,6 +97,11 @@ class TestParse:
         with pytest.raises(TruncatedError):
             parse_wav(wav)
 
+    def test_short_fmt_chunk(self):
+        wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body()[:14]), (b"data", b"\x00\x00")])
+        with pytest.raises(TruncatedError, match="fmt chunk is 14 bytes, need at least 16"):
+            parse_wav(wav)
+
     def test_missing_chunks(self):
         with pytest.raises(MissingChunkError):
             parse_wav(raw_wav_bytes([(b"data", b"\x00\x00")]))
