@@ -99,13 +99,16 @@ def _undecodable(exc: UnicodeDecodeError) -> str:
     """exc's message, led by the path and line of the text file it came from.
 
     Only the two text readers decode, and the path is the `path`
-    argument of the one whose frame the traceback passes through.
+    argument of the one whose frame the traceback passes through; None
+    is the bundled lexicon. Lines break where the readers' splitlines
+    breaks them, counted over the valid prefix.
     """
     tb = exc.__traceback__
     while tb is not None:
         if tb.tb_frame.f_code in (_load_lexicon_arg.__code__, _read_sentences.__code__):
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            return f"{tb.tb_frame.f_locals['path']}, line {line}: not UTF-8 text ({exc})"
+            line = len((exc.object[: exc.start].decode("utf-8") + "_").splitlines())
+            path = tb.tb_frame.f_locals["path"] or "duostego/data/default_lexicon.txt"
+            return f"{path}, line {line}: not UTF-8 text ({exc})"
         tb = tb.tb_next
     return str(exc)
 

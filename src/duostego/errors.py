@@ -53,18 +53,10 @@ class LengthMismatchError(DuostegoError):
     """A stated length is inconsistent with the data it describes."""
 
 
-class NotByteAlignedError(DuostegoError):
-    """Bit string length is not a multiple of 8."""
-
-
 # Sample grid --------------------------------------------------------------
 
-class ZeroSamplesError(DuostegoError):
-    """A grid cannot be laid over zero samples."""
-
-
 class OutOfRangeError(DuostegoError):
-    """A sample index, seed or sentence digit outside its range."""
+    """A seed or sentence digit outside its range."""
 
 
 class CapacityExceededError(DuostegoError):

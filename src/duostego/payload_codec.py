@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import HeaderCorruptError, LengthMismatchError, NotByteAlignedError, OversizeError
+from .errors import HeaderCorruptError, OversizeError
 
 CHUNK_BITS = 3
 HEADER_BITS = 32
@@ -28,9 +28,7 @@ def bytes_to_bits(payload: bytes) -> np.ndarray:
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Inverse of bytes_to_bits; the bit count must be a multiple of 8."""
-    if bits.size % 8:
-        raise NotByteAlignedError(f"{bits.size} bits is not a whole number of bytes")
+    """Inverse of bytes_to_bits for whole bytes: uncover checks its payload's bit count, unframe passes 32."""
     return np.packbits(bits).tobytes()
 
 
@@ -44,11 +42,9 @@ def frame(bits: np.ndarray) -> np.ndarray:
 def unframe(bits: np.ndarray) -> np.ndarray:
     """Strip the length header and return exactly the declared bits.
 
-    Up to two trailing chunk-padding bits after the declared length are
-    the caller's business; anything shorter than declared is corrupt.
+    bits holds the whole header, which uncover checks. Up to two trailing
+    chunk-padding bits are the caller's business; fewer than declared is corrupt.
     """
-    if bits.size < HEADER_BITS:
-        raise HeaderCorruptError(f"only {bits.size} bits, the length header needs {HEADER_BITS}")
     (declared,) = struct.unpack(">I", bits_to_bytes(bits[:HEADER_BITS]))
     if declared > bits.size - HEADER_BITS:
         raise HeaderCorruptError(
@@ -72,13 +68,8 @@ def chunk(bits: np.ndarray) -> np.ndarray:
 def unchunk(chunks: np.ndarray, bit_length: int) -> np.ndarray:
     """Concatenate 3-bit chunks and truncate to `bit_length` bits.
 
-    `bit_length` must leave 0-2 padding bits in the final chunk,
-    otherwise the chunk count cannot have come from chunk().
+    `bit_length` leaves 0-2 padding bits in the final chunk; uncover
+    passes every chunk's bits, 3 x chunks.size.
     """
-    slack = CHUNK_BITS * chunks.size - bit_length
-    if bit_length < 0 or not 0 <= slack < CHUNK_BITS:
-        raise LengthMismatchError(
-            f"{chunks.size} chunks cannot encode exactly {bit_length} bits"
-        )
     bits = (chunks[:, None] >> _CHUNK_SHIFTS) & 1
     return bits.reshape(-1)[:bit_length]

@@ -18,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityExceededError,
-    CoordinateOutOfRangeError,
-    OutOfRangeError,
-    RepeatedPositionError,
-    ZeroSamplesError,
-)
+from .errors import CapacityExceededError, CoordinateOutOfRangeError, OutOfRangeError, RepeatedPositionError
 from .rng import below_many
 
 CHUNK_MASK = 0b111
@@ -50,20 +44,14 @@ class GridGeometry:
         return tuple(islice(product(range(10), repeat=self.digit_width), self.width))
 
     def digits_for(self, index: int) -> tuple[int, ...]:
-        """The 2 x digit_width decimal digits encoding a sample's coordinates, x's first."""
-        if not 0 <= index < self.total_samples:
-            raise OutOfRangeError(f"sample index {index} outside [0, {self.total_samples})")
+        """The 2 x digit_width coordinate digits of an index select_samples gave cover, x's first."""
         x, y = divmod(index, self.width)
         table = self._coord_digits
         return table[x] + table[y]
 
     def index_from_digits(self, digits: Sequence[int]) -> int:
-        """Inverse of digits_for; raises CoordinateOutOfRangeError off-grid."""
+        """Inverse of digits_for on uncover's 2 x digit_width digits; raises CoordinateOutOfRangeError off-grid."""
         d = self.digit_width
-        if len(digits) != 2 * d:
-            raise CoordinateOutOfRangeError(
-                f"need {2 * d} coordinate digits, got {len(digits)}"
-            )
         # Read all 2d digits as one decimal number: x is its upper half.
         value = 0
         for digit in digits:
@@ -77,9 +65,7 @@ class GridGeometry:
 
 
 def geometry(n: int) -> GridGeometry:
-    """Grid over n samples; both parties derive it from the carrier alone."""
-    if n < 1:
-        raise ZeroSamplesError("cannot lay a grid over zero samples")
+    """Grid over n >= 1 samples (cover and uncover turn n = 0 away); both parties derive it from n alone."""
     width = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) without float rounding
     digit_width = len(str(width - 1))  # height <= width, so x needs no more digits than y
     return GridGeometry(n, width, digit_width)

@@ -143,6 +143,13 @@ class TestExitCodes:
         assert main(["capacity", str(fake)]) == 5
         capsys.readouterr()
 
+    def test_dangling_bytes_after_last_chunk_is_5(self, tmp_path, capsys):
+        # RIFF size 42: "WAVE", fmt (24 bytes), data (10), then 4 bytes, too few for a chunk header
+        carrier = tmp_path / "dangling.wav"
+        carrier.write_bytes(raw_wav_bytes([(b"fmt ", pcm_fmt_body()), (b"data", b"\x00\x00")], riff_size=42) + bytes(4))
+        assert main(["capacity", str(carrier)]) == 5
+        assert "dangling bytes" in capsys.readouterr().err
+
     def test_short_fmt_chunk_is_5(self, tmp_path, capsys):
         carrier = tmp_path / "short.wav"
         carrier.write_bytes(raw_wav_bytes([(b"fmt ", pcm_fmt_body()[:14]), (b"data", b"\x00\x00")]))
@@ -167,6 +174,18 @@ class TestExitCodes:
         code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
         assert code == 6
         capsys.readouterr()
+
+    def test_zero_sample_audio(self, tmp_path, capsys):
+        # cover's capacity check and uncover's empty-audio check refuse it
+        empty = tmp_path / "empty.wav"
+        empty.write_bytes(ref_wav_bytes([]))
+        code, stego, text, _ = run_cover(tmp_path, empty, payload=b"")
+        assert code == 3
+        assert "needs 32 bits but the carrier holds 0" in capsys.readouterr().err
+        text.write_text("eat\n")
+        assert main(["uncover", str(empty), str(text), "-o", str(tmp_path / "o.bin")]) == 6
+        assert "stego audio has no samples" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
 
     def test_truncated_text_is_6(self, tmp_path, carrier_path, capsys):
         _, stego, text, _ = run_cover(tmp_path, carrier_path)
@@ -294,6 +313,15 @@ class TestReadingLocationText:
             ),
             pytest.param(lambda text: b"", 6, "0 sentences supply only 0 bits", id="empty"),
             pytest.param(_bad_byte_on_line_3, 1, "{path}, line 3: not UTF-8 text", id="not-utf-8"),
+            *(
+                pytest.param(
+                    lambda text, separator=separator: _line_break(separator)(_bad_byte_on_line_3(text)),
+                    1,
+                    "{path}, line 3: not UTF-8 text",
+                    id=f"not-utf-8-{name}",
+                )
+                for name, separator in [("lone-cr", "\r"), ("u2028", "\u2028")]
+            ),
             pytest.param(
                 lambda text: b"\xef\xbb\xbf" + text,
                 0,
@@ -389,6 +417,15 @@ class TestUndecodableFileIsNamed:
         self.check(capsys, code, bad, line, good=[stego, text])
         assert not out.exists()
 
+    def test_bundled_lexicon(self, tmp_path, carrier_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_default_lexicon", lambda: b"ok\n\xff".decode("utf-8"))
+        code, stego, text, _ = run_cover(tmp_path, carrier_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: duostego/data/default_lexicon.txt, line 2: not UTF-8 text (")
+        assert "None" not in err
+        assert not stego.exists() and not text.exists()
+
 
 # The exit codes README.md lists, for every error class in duostego.errors.
 README_EXIT_CODES = {
@@ -401,8 +438,6 @@ README_EXIT_CODES = {
     "MissingChunkError": 5,
     "OversizeError": 1,
     "LengthMismatchError": 1,
-    "NotByteAlignedError": 1,
-    "ZeroSamplesError": 1,
     "OutOfRangeError": 1,
     "CapacityExceededError": 3,
     "LexiconError": 4,

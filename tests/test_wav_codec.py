@@ -97,6 +97,12 @@ class TestParse:
         with pytest.raises(TruncatedError):
             parse_wav(wav)
 
+    def test_dangling_bytes_after_last_chunk(self):
+        # RIFF size 42: "WAVE", fmt (24 bytes), data (10), then 4 bytes, too few for a chunk header
+        wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body()), (b"data", b"\x00\x00")], riff_size=42) + bytes(4)
+        with pytest.raises(TruncatedError, match="dangling bytes where a chunk header was expected"):
+            parse_wav(wav)
+
     def test_short_fmt_chunk(self):
         wav = raw_wav_bytes([(b"fmt ", pcm_fmt_body()[:14]), (b"data", b"\x00\x00")])
         with pytest.raises(TruncatedError, match="fmt chunk is 14 bytes, need at least 16"):
