@@ -3,7 +3,7 @@
 Fourteen production rules over five nonterminals generate every
 sentence shape this package emits; the terminals are the six
 part-of-speech classes, and the lexicon supplies the actual words.
-_skeletons() lists every derivable part-of-speech sequence of an exact
+_draws() lists every derivable part-of-speech sequence of an exact
 length, from one memoized derivation, _derivable(symbol, length),
 which cuts `length` into one positive share per right-hand side symbol;
 a share that symbol cannot derive just adds nothing. No rule derives
@@ -64,36 +64,31 @@ def _derivable(symbol, length: int) -> frozenset:
     return frozenset(found)
 
 
-@cache
-def _skeletons(length: int) -> tuple[tuple[int, ...], ...]:
-    """Every skeleton of `length` terminals, as PosClass indices, in wire order."""
-    return tuple(sorted(_derivable(START, length)))
-
-
-@cache
-def _skeleton_draw(length: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """_skeletons(length) and the rejection limit of a draw over them."""
-    return _skeletons(length), RANGE64 - RANGE64 % len(_skeletons(length))
-
-
 @lru_cache(maxsize=8)
-def _word_draws(lexicon: Lexicon) -> dict[int, tuple[tuple[tuple[str, ...], int], ...]]:
-    """digit -> (words, draw rejection limit) per PosClass row; a dict, so -1 has no entry."""
+def _draws(lexicon: Lexicon, length: int):
+    """(skeletons, rejection limit of a draw over them, cells) of a `length`-word sentence.
+
+    The skeletons are every PosClass-index sequence of `length` terminals,
+    in wire order. cells maps digit -> (words, draw rejection limit) per
+    PosClass row of lexicon; a dict, so -1 has no entry.
+    """
+    skeletons = tuple(sorted(_derivable(START, length)))
     rows = lexicon.words_by_pos
-    return {d: tuple((row[d], RANGE64 - RANGE64 % len(row[d])) for row in rows) for d in DIGITS}
+    cells = {d: tuple((row[d], RANGE64 - RANGE64 % len(row[d])) for row in rows) for d in DIGITS}
+    return skeletons, RANGE64 - RANGE64 % len(skeletons), cells
 
 
 def generate_sentence(lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
     """Words realizing `digits`, one word per digit, seed-deterministic.
 
     Token i is drawn from lexicon category digits[i]; the tokens'
-    part-of-speech sequence is one of _skeletons(len(digits)); a numpy
-    digit array works too. Raises OutOfRangeError for a digit outside 0-9.
+    part-of-speech sequence is one of the skeletons in _draws(lexicon,
+    len(digits)); a numpy digit array works too. Raises OutOfRangeError
+    for a digit outside 0-9.
     """
     if len(digits) == 0:
         raise ValueError("cannot generate a sentence for zero digits")
-    skeletons, skeleton_limit = _skeleton_draw(len(digits))
-    cells = _word_draws(lexicon)
+    skeletons, skeleton_limit, cells = _draws(lexicon, len(digits))
     # Only rejections use up the block of len(digits) + 1 draws. A longer
     # block from the same seed starts with the same draws: walk it again.
     state = index(seed) & MASK64

@@ -48,8 +48,8 @@ class Lexicon:
     """Validated, immutable word inventory; build it with load_lexicon().
 
     Takes cells[i][digit], the lowercase word set of the i-th PosClass in
-    category digit, and keeps them sorted as words_by_pos, the one cell
-    table: generation indexes it without hashing a PosClass member.
+    category digit, and keeps them sorted as words_by_pos; generation
+    draws from grammar._draws' table, built from these rows.
     """
 
     words_by_pos: tuple[tuple[tuple[str, ...], ...], ...]

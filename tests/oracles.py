@@ -12,14 +12,18 @@
 * distortion_oracle(): the distortion statistics as whole-array int64
   arithmetic, the formula pipeline.distortion_report used before it
   went block-wise;
-* skeletons_of_length(): grammar._skeletons mapped back to PosClass
-  members, the form the grammar tests compare;
+* skeletons_of_length(): the skeletons of grammar's draw table mapped
+  back to PosClass members, the form the grammar tests compare;
+* ReferenceSplitMix64 and splitmix64_mix(): SplitMix64 written from its
+  published definition in Python ints, one output at a time, with its
+  own constants and no code from duostego.rng;
 * below(): one scalar draw in [0, bound) with SplitMix64's rejection
-  rule, the reference that below_many and generate_sentence's walk over
-  a block of rng.outputs must reproduce;
+  rule (rejection_limit()), the reference that below_many and
+  generate_sentence's walk over a block of rng.outputs must reproduce;
 * select_samples_oracle() and generate_sentence_oracle(): sample
-  selection and sentence generation with one below() call per draw, as
-  the package made them before its draws went block-wise;
+  selection and sentence generation with one below() call per draw
+  from a ReferenceSplitMix64, as the package made them before its
+  draws went block-wise;
 * _seed_whose_first_output_is(): a seed chosen through the inverse of
   SplitMix64's output function, to force a given raw draw.
 """
@@ -31,9 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from duostego.grammar import PRODUCTIONS, START, _skeletons
-from duostego.lexicon import Lexicon, PosClass
-from duostego.rng import GAMMA, MASK64, MIX1, MIX2, RANGE64, SplitMix64
+from duostego.grammar import PRODUCTIONS, START, _derivable, _draws
+from duostego.lexicon import Lexicon, PosClass, load_lexicon
 from duostego.wav_codec import AudioClip
 
 ORACLE_RULES = {
@@ -67,10 +70,19 @@ def oracle_skeletons(length):
     return done
 
 
+# Skeletons do not depend on the words, so any complete lexicon keys the table.
+_ONE_WORD_CELLS = load_lexicon("\n".join(f"{d}|{pos.value}|{pos.value}{d}" for d in range(10) for pos in PosClass))
+
+
 def skeletons_of_length(length: int) -> tuple[tuple[PosClass, ...], ...]:
-    """grammar._skeletons(length) with each PosClass index mapped to its member."""
+    """The skeletons of grammar._draws(lexicon, length), each PosClass index mapped to its member.
+
+    No sentence has zero words, so length 0 has no draw table; it reads
+    the derivation, which finds no skeleton there.
+    """
     classes = tuple(PosClass)
-    return tuple(tuple(classes[i] for i in skeleton) for skeleton in _skeletons(length))
+    skeletons = _draws(_ONE_WORD_CELLS, length)[0] if length else _derivable(START, 0)
+    return tuple(tuple(classes[i] for i in skeleton) for skeleton in skeletons)
 
 
 def _binarize():
@@ -164,14 +176,46 @@ def distortion_oracle(original: np.ndarray, stego: np.ndarray):
     return changed, max_delta, mean_delta, snr
 
 
-def below(rng: SplitMix64, bound: int) -> int:
-    """Uniform integer in [0, bound) from rng, for bound in [1, 2**64].
+# SplitMix64 (Steele, Lea & Flood 2014), as published: state += GAMMA,
+# then Stafford's Mix13 output step on the new state.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_RANGE = 2**64
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's output step on a 64-bit counter z."""
+    z = (z ^ (z >> 30)) * _MIX1 % _RANGE
+    z = (z ^ (z >> 27)) * _MIX2 % _RANGE
+    return z ^ (z >> 31)
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 from seed, one output at a time: the k-th is mix(seed + k * GAMMA)."""
+
+    def __init__(self, seed: int):
+        self.state = seed % _RANGE
+
+    def next64(self) -> int:
+        self.state = (self.state + _GAMMA) % _RANGE
+        return splitmix64_mix(self.state)
+
+
+def rejection_limit(bound: int) -> int:
+    """The smallest raw draw that a draw over `bound` options rejects."""
+    return _RANGE - _RANGE % bound
+
+
+def below(rng, bound: int) -> int:
+    """Uniform integer in [0, bound) from rng.next64(), for bound in [1, 2**64].
 
     A raw draw is kept only under the largest multiple of bound that fits
     in 64 bits, which avoids modulo bias; a rejected draw is replaced by
-    the next one.
+    the next one. rng is a ReferenceSplitMix64, or the package's
+    SplitMix64 where a test pins its known answers.
     """
-    limit = RANGE64 - RANGE64 % bound
+    limit = rejection_limit(bound)
     while True:
         z = rng.next64()
         if z < limit:
@@ -180,7 +224,7 @@ def below(rng: SplitMix64, bound: int) -> int:
 
 def select_samples_oracle(n: int, m: int, seed: int) -> list[int]:
     """Sparse partial Fisher-Yates, one scalar below(n - t) per step t."""
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     displaced: dict[int, int] = {}
     out = []
     for t in range(m):
@@ -192,8 +236,8 @@ def select_samples_oracle(n: int, m: int, seed: int) -> list[int]:
 
 def generate_sentence_oracle(lexicon: Lexicon, digits: Sequence[int], seed: int) -> list[str]:
     """One below() draw for the skeleton, then one per word."""
-    skeletons = _skeletons(len(digits))
-    rng = SplitMix64(seed)
+    skeletons = _draws(lexicon, len(digits))[0]
+    rng = ReferenceSplitMix64(seed)
     skeleton = skeletons[below(rng, len(skeletons))]
     cells = lexicon.words_by_pos
     tokens = []
@@ -214,8 +258,8 @@ def _unshift_xor(z: int, shift: int) -> int:
 def _seed_whose_first_output_is(z: int) -> int:
     """Invert the published SplitMix64 output function for the first draw."""
     z = _unshift_xor(z, 31)
-    z = (z * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = z * pow(_MIX2, -1, _RANGE) % _RANGE
     z = _unshift_xor(z, 27)
-    z = (z * pow(MIX1, -1, 1 << 64)) & MASK64
+    z = z * pow(_MIX1, -1, _RANGE) % _RANGE
     state = _unshift_xor(z, 30)
-    return (state - GAMMA) & MASK64
+    return (state - _GAMMA) % _RANGE

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,11 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 from duostego import grammar
 from duostego.errors import OutOfRangeError
 from duostego.grammar import generate_sentence
-from duostego.lexicon import PosClass, load_default_lexicon
-from duostego.rng import RANGE64, SplitMix64, outputs
+from duostego.lexicon import PosClass, load_default_lexicon, load_lexicon
+from duostego.rng import RANGE64, outputs
 
 from conftest import words_for
-from oracles import generate_sentence_oracle, oracle_skeletons, recognize, skeletons_of_length
+from oracles import (
+    ReferenceSplitMix64,
+    generate_sentence_oracle,
+    oracle_skeletons,
+    recognize,
+    rejection_limit,
+    skeletons_of_length,
+)
 
 P = PosClass
 
@@ -155,9 +164,42 @@ class TestGenerate:
         assert tokens == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
 
 
-def _limit(bound: int) -> int:
-    """The smallest raw draw that a draw over `bound` options rejects."""
-    return RANGE64 - RANGE64 % bound
+def _prefixed(lexicon, prefix: str):
+    """A copy of lexicon with every word prefixed, so each cell keeps its order."""
+    return load_lexicon(
+        "\n".join(
+            f"{digit}|{pos.value}|{prefix}{word}"
+            for pos, row in zip(PosClass, lexicon.words_by_pos)
+            for digit, cell in enumerate(row)
+            for word in cell
+        )
+    )
+
+
+class TestDrawTable:
+    """generate_sentence's draw table is kept per (lexicon, length), for the 8 latest keys."""
+
+    def test_lexicons_of_one_length_draw_their_own_words(self):
+        # A table keyed by length alone would give the second sentence the
+        # first lexicon's words, and the third the second's.
+        first_lexicon, second_lexicon = _SESSION_LEXICON, _prefixed(_SESSION_LEXICON, "x")
+        digits, seed = [3, 1, 4, 1, 5, 9, 2, 6], 27
+        first, second, third = (
+            generate_sentence(lexicon, digits, seed) for lexicon in (first_lexicon, second_lexicon, first_lexicon)
+        )
+        assert first == third == generate_sentence_oracle(first_lexicon, digits, seed)
+        assert second == generate_sentence_oracle(second_lexicon, digits, seed) == ["x" + word for word in first]
+
+    def test_dropped_lexicon_freed_after_eight_newer_keys(self):
+        lexicon = _prefixed(_SESSION_LEXICON, "y")
+        generate_sentence(lexicon, [1, 2], 0)
+        dropped = weakref.ref(lexicon)
+        del lexicon
+        for length in range(1, 8):
+            generate_sentence(_SESSION_LEXICON, [0] * length, 0)
+        assert dropped() is not None  # its key is still one of the 8 latest
+        generate_sentence(_SESSION_LEXICON, [0] * 8, 0)
+        assert dropped() is None
 
 
 def _bounds(lexicon, digits, skeleton_draw: int) -> list[int]:
@@ -206,11 +248,11 @@ class TestRejection:
         ],
     )
     def test_known_answers(self, blocks, digits, seed, row, expected):
-        rng = SplitMix64(seed)
+        rng = ReferenceSplitMix64(seed)
         raw = [rng.next64() for _ in range(row + 2)]
         bounds = _bounds(_SESSION_LEXICON, digits, raw[1] if row == 0 else raw[0])
-        assert raw[row] == _limit(bounds[row])
-        assert all(z < _limit(b) for z, b in zip(raw[:row], bounds))
+        assert raw[row] == rejection_limit(bounds[row])
+        assert all(z < rejection_limit(b) for z, b in zip(raw[:row], bounds))
         tokens = generate_sentence(_SESSION_LEXICON, digits, seed)
         assert tokens == expected == generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
         assert blocks == [len(digits) + 1, 2 * (len(digits) + 1)]
@@ -219,7 +261,8 @@ class TestRejection:
         # Length 1 has one skeleton, and a draw over one option rejects
         # nothing: even this seed's first draw, the largest there is, is kept.
         seed = 3558559446808474027
-        assert SplitMix64(seed).next64() == RANGE64 - 1 < _limit(len(skeletons_of_length(1)))
+        first_draw = ReferenceSplitMix64(seed).next64()
+        assert first_draw == RANGE64 - 1 < rejection_limit(len(skeletons_of_length(1)))
         tokens = generate_sentence(_SESSION_LEXICON, [7], seed)
         assert tokens == ["forget"] == generate_sentence_oracle(_SESSION_LEXICON, [7], seed)
         assert blocks == [2]
@@ -244,12 +287,12 @@ class TestRejection:
 
         def stream(state, k):
             sizes.append(k)
-            real = SplitMix64(state)
+            real = ReferenceSplitMix64(state)
             return tuple(rejected if t in rows else real.next64() for t in range(k))
 
-        bounds = _bounds(_SESSION_LEXICON, digits, SplitMix64(seed).next64())
+        bounds = _bounds(_SESSION_LEXICON, digits, ReferenceSplitMix64(seed).next64())
         for row in rows:  # each inserted draw is rejected by the draw it stands in for
-            assert rejected >= _limit(bounds[row - sum(r < row for r in rows)])
+            assert rejected >= rejection_limit(bounds[row - sum(r < row for r in rows)])
         expected = generate_sentence_oracle(_SESSION_LEXICON, digits, seed)
         monkeypatch.setattr(grammar, "outputs", stream)
         assert generate_sentence(_SESSION_LEXICON, digits, seed) == expected

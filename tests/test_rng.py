@@ -2,24 +2,25 @@
 
 below_many draws blocks of rows as uint64 arrays and restarts a block
 after its first rejected row. Every case compares its values with a loop
-of oracles.below over next64 from the same seed. outputs draws k outputs
-at once in 128-bit lanes of one int; its cases compare with k calls of
-next64, and mix on each form with mix on each counter.
+of oracles.below over oracles.ReferenceSplitMix64 from the same seed.
+outputs draws k outputs at once in 128-bit lanes of one int; its cases
+compare with k outputs of the reference stream, and mix on each form
+with the reference output step on each counter.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, _lanes, below_many, mix, outputs
+from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, _lanes, below_many, mix, outputs
 
-from oracles import _seed_whose_first_output_is, below
+from oracles import ReferenceSplitMix64, _seed_whose_first_output_is, below, rejection_limit, splitmix64_mix
 
 TOP = RANGE64 - 1
 
 
 def _scalar(seed: int, bounds: range):
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     return [below(rng, b) for b in bounds]
 
 
@@ -29,7 +30,7 @@ def _blocked(seed: int, bounds: range):
 
 def _seed_rejecting(bound: int, row: int) -> int:
     """A seed whose raw draw `row` is the smallest one below(bound) rejects."""
-    return (_seed_whose_first_output_is(RANGE64 - RANGE64 % bound) - row * GAMMA) & MASK64
+    return (_seed_whose_first_output_is(rejection_limit(bound)) - row * GAMMA) & MASK64
 
 
 @pytest.mark.parametrize("length", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -79,11 +80,11 @@ def test_forced_rejection(row):
     bounds = range(n, n - 2 * _BLOCK - 1, -1)
     bound = bounds[row]
     seed = _seed_rejecting(bound, row)
-    reference = SplitMix64(seed)
+    reference = ReferenceSplitMix64(seed)
     raw = [reference.next64() for _ in range(row + 2)]
-    limit = RANGE64 - RANGE64 % bound
+    limit = rejection_limit(bound)
     assert raw[row] == limit
-    assert all(z < RANGE64 - RANGE64 % b for z, b in zip(raw[:row], bounds))
+    assert all(z < rejection_limit(b) for z, b in zip(raw[:row], bounds))
     values = _blocked(seed, bounds)
     assert values == _scalar(seed, bounds)
     # The rejected draw is replaced by the next raw draw.
@@ -118,8 +119,8 @@ LANE_STATES = {
 @pytest.mark.parametrize("state", LANE_STATES.values(), ids=LANE_STATES.keys())
 @pytest.mark.parametrize("k", range(1, 21))
 def test_outputs_equal_consecutive_next64(state, k):
-    rng = SplitMix64(state)
-    assert outputs(state, k) == tuple(rng.next64() for _ in range(k))
+    reference = ReferenceSplitMix64(state)
+    assert outputs(state, k) == tuple(reference.next64() for _ in range(k))
 
 
 def test_lane_states_wrap_where_named():
@@ -137,6 +138,7 @@ def test_mix_forms_agree(counters):
     # Packed lanes, a uint64 array and Python ints give the same outputs;
     # a wrapping uint64 array must not warn (warnings are errors here).
     scalars = [mix(c) for c in counters]
+    assert scalars == [splitmix64_mix(c) for c in counters]
     mask = _lanes(len(counters))[2]
     packed = mix(sum(c << 128 * t for t, c in enumerate(counters)), mask)
     assert packed == sum(z << 128 * t for t, z in enumerate(scalars))  # high halves clear too

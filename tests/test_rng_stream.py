@@ -2,15 +2,15 @@
 
 next64 hands out outputs from blocks of _BLOCK, and below_many(seed,
 bounds) draws from the stream of its own seed. Every case compares the
-values with a generator that makes one output at a time,
-mix(seed + k * GAMMA), and with oracles.below for the bounded draws.
+values with oracles.ReferenceSplitMix64, which makes one output at a
+time, mix(seed + k * GAMMA), and with oracles.below for the bounded draws.
 """
 
 import pytest
 
-from duostego.rng import _BLOCK, GAMMA, MASK64, RANGE64, SplitMix64, below_many, mix
+from duostego.rng import _BLOCK, RANGE64, SplitMix64, below_many
 
-from oracles import below
+from oracles import ReferenceSplitMix64, below
 
 SEEDS = [0, 1234567, RANGE64 - 1]
 # Bounds that keep every draw, and bounds that reject about half of them.
@@ -20,27 +20,16 @@ BOUNDS = {
 }
 
 
-class OneAtATime:
-    """The k-th output is mix(seed + k * GAMMA), computed when asked for."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + GAMMA) & MASK64
-        return mix(self._state)
-
-
 @pytest.mark.parametrize("bounds", BOUNDS.values(), ids=BOUNDS.keys())
 @pytest.mark.parametrize("calls", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_next64_below_many_next64_match_one_at_a_time(seed, calls, bounds):
     # below_many seeded where the stream stands reads the outputs next64
     # would read from there, and leaves the stream where it was.
-    rng, reference = SplitMix64(seed), OneAtATime(seed)
+    rng, reference = SplitMix64(seed), ReferenceSplitMix64(seed)
     assert [rng.next64() for _ in range(calls)] == [reference.next64() for _ in range(calls)]
-    position = reference._state
-    bounded = OneAtATime(position)
+    position = reference.state
+    bounded = ReferenceSplitMix64(position)
     assert list(below_many(position, bounds)) == [below(bounded, b) for b in bounds]
     assert [rng.next64() for _ in range(_BLOCK + 1)] == [
         reference.next64() for _ in range(_BLOCK + 1)
@@ -52,7 +41,7 @@ def test_same_seed_streams_share_no_block(seed):
     # two draws twice as often as one, so the streams sit at different
     # positions whenever they are read.
     one, two = SplitMix64(seed), SplitMix64(seed)
-    one_reference, two_reference = OneAtATime(seed), OneAtATime(seed)
+    one_reference, two_reference = ReferenceSplitMix64(seed), ReferenceSplitMix64(seed)
     for _ in range(_BLOCK + 3):
         assert one.next64() == one_reference.next64()
         assert [two.next64(), two.next64()] == [two_reference.next64(), two_reference.next64()]
