@@ -82,16 +82,17 @@ class Lexicon:
 
         Decoding consults the lexicon alone, never the grammar, so text
         that was reformatted (or was never derivable) still decodes.
-        Raises UnknownWordError naming the first token in no category.
+        Raises UnknownWordError naming the first token in no category;
+        a token that is not a str is in none.
         """
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)  # a miss below reads the tokens again
         table = self._digit_by_word
         try:
             return [table[token] for token in tokens]  # lowercase text, as generated
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             pass
-        words = [token.lower() for token in tokens]
+        words = [token.lower() if isinstance(token, str) else None for token in tokens]
         for position, word in enumerate(words):
             if word not in table:
                 raise UnknownWordError(tokens[position], position)

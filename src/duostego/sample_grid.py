@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CapacityExceededError, CoordinateOutOfRangeError, OutOfRangeError, RepeatedPositionError
 from .rng import below_many
+from .wav_codec import sample_buffer
 
 CHUNK_MASK = 0b111
 KEEP_MASK = 0xFFF8  # upper thirteen bits of a 16-bit sample
@@ -96,8 +97,13 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
 
 
 def embed_chunks(samples: np.ndarray, indices: np.ndarray, chunks: np.ndarray) -> np.ndarray:
-    """Replace the three low bits of the selected samples with `chunks`; returns a new array."""
-    out = samples.copy()
+    """Replace the three low bits of the selected samples with `chunks`; returns a new array.
+
+    The new array is a wav_codec.sample_buffer, so write_wav writes a clip
+    of it in place, with no second copy of the samples.
+    """
+    out = sample_buffer(samples.size)
+    out[:] = samples
     out[indices] = (out[indices] & KEEP_MASK) | chunks
     return out
 

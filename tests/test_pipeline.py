@@ -236,6 +236,20 @@ class TestUncover:
             uncover(bundle.stego_audio, sentences, default_lexicon)
         assert err.value.position == 0
 
+    @pytest.mark.parametrize("token", [1, None, b"the", ["the"]], ids=["int", "none", "bytes", "unhashable"])
+    def test_token_that_is_not_text_is_an_unknown_word(self, default_lexicon, token):
+        carrier = random_carrier(1000, seed=19)
+        bundle = cover(carrier, b"ok", default_lexicon, seed=20)
+        sentences = [list(sentence) for sentence in bundle.sentences]
+        sentences[2][1] = token
+        with pytest.raises(UnknownWordError) as err:
+            uncover(bundle.stego_audio, sentences, default_lexicon)
+        assert (err.value.word, err.value.position) == (token, 1)
+        every = [[token] * len(sentences[0])] * len(sentences)
+        with pytest.raises(UnknownWordError) as err:
+            uncover(bundle.stego_audio, every, default_lexicon)
+        assert (err.value.word, err.value.position) == (token, 0)
+
     def test_coordinate_off_grid(self, default_lexicon):
         carrier = random_carrier(1000, seed=21)  # 32x32 grid, d = 2
         bundle = cover(carrier, b"ok", default_lexicon, seed=22)

@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from duostego.errors import (
     UnsupportedCodecError,
     UnsupportedDepthError,
 )
-from duostego.wav_codec import AudioClip, parse_wav, write_wav
+from duostego.pipeline import cover
+from duostego.wav_codec import AudioClip, parse_wav, sample_buffer, write_wav
 
 from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, same_clip, traced_peak
 from oracles import write_wav_oracle
@@ -222,6 +225,102 @@ class TestWrite:
         assert bytes(write_wav(clip)) == write_wav_oracle(clip)
 
 
+class TestWriteInPlace:
+    """A clip over a whole sample_buffer tail is written into that buffer."""
+
+    @staticmethod
+    def filled(values) -> np.ndarray:
+        samples = sample_buffer(len(values))
+        samples[:] = values
+        return samples
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_file_is_the_buffer(self, count):
+        samples = self.filled(np.arange(count) * 4099)
+        clip = AudioClip(22050, 1, samples)
+        out = write_wav(clip)
+        assert bytes(out) == write_wav_oracle(clip)
+        assert np.shares_memory(out.obj, samples)
+        assert write_wav(clip) == out  # the room holds this header: in place again
+
+    def test_output_stays_read_only(self):
+        samples = self.filled([1, 2, 3])
+        out = write_wav(AudioClip(8000, 1, samples))
+        assert np.shares_memory(out.obj, samples)
+        assert out.readonly and out.format == "B"
+        with pytest.raises(TypeError):
+            out[0] = 0
+        assert not out.obj.flags.writeable
+        assert samples.flags.writeable  # the buffer's own tail is not frozen
+
+    def test_second_header_over_one_buffer_is_copied(self):
+        samples = self.filled(np.arange(12) * 5003)
+        mono, stereo = AudioClip(8000, 1, samples), AudioClip(44100, 2, samples)
+        first = write_wav(mono)
+        kept = bytes(first)
+        second = write_wav(stereo)
+        assert kept == write_wav_oracle(mono)
+        assert bytes(second) == write_wav_oracle(stereo)
+        assert bytes(first) == kept  # the second write left the first file alone
+        assert np.shares_memory(first.obj, samples) and not np.shares_memory(second.obj, samples)
+
+    def test_racing_headers_one_is_written_in_place(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a check-then-write without the lock lets two headers in
+        threads_per_round = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(300):
+                samples = self.filled(np.arange(64) + round_)
+                clips = [AudioClip(8000 + i, 1, samples) for i in range(threads_per_round)]
+                outs = [None] * threads_per_round
+                barrier = threading.Barrier(threads_per_round, timeout=10)
+
+                def write(i):
+                    barrier.wait()
+                    outs[i] = write_wav(clips[i])
+
+                threads = [threading.Thread(target=write, args=(i,)) for i in range(threads_per_round)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [bytes(out) for out in outs] == [write_wav_oracle(clip) for clip in clips]
+                assert sum(np.shares_memory(out.obj, samples) for out in outs) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, -1)], ids=["late-start", "early-end"])
+    def test_part_of_a_buffer_is_copied(self, cut):
+        samples = self.filled(np.arange(9))
+        clip = AudioClip(8000, 1, samples[cut])
+        out = write_wav(clip)
+        assert bytes(out) == write_wav_oracle(clip)
+        assert not np.shares_memory(out.obj, samples)
+
+    def test_callers_array_head_is_never_written(self):
+        # zero room in front of the samples is not enough: the buffer
+        # must come from sample_buffer
+        owner = np.zeros(22 + 4, np.uint16)
+        owner[22:] = [5, 6, 7, 8]
+        clip = AudioClip(8000, 1, owner[22:])
+        out = write_wav(clip)
+        assert bytes(out) == write_wav_oracle(clip)
+        assert not owner[:22].any() and not np.shares_memory(out.obj, owner)
+
+    def test_carrier_with_trailing_chunks_is_copied(self, default_lexicon):
+        rng = np.random.default_rng(4)
+        carrier = AudioClip(
+            8000, 1, rng.integers(0, 1 << 16, 5000, dtype=np.uint16), ((b"LIST", b"INFOabc"), (b"cue ", b"xy"))
+        )
+        stego = cover(carrier, b"trailing", default_lexicon, seed=5).stego_audio
+        out = write_wav(stego)
+        assert bytes(out) == write_wav_oracle(stego)
+        assert not np.shares_memory(out.obj, stego.samples)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 16, 255])
     @pytest.mark.parametrize("channels", [1, 2])
@@ -408,6 +507,15 @@ class TestMemory:
         data, peak = traced_peak(write_wav, clip)
         assert peak <= len(data) + 2**20
         assert data == ref_wav_bytes(clip.samples.tolist())
+
+    def test_cover_stego_is_written_with_no_copy(self, default_lexicon):
+        rng = np.random.default_rng(3)
+        carrier = clip_of(rng.integers(0, 1 << 16, self.COUNT - 5, dtype=np.uint16), rate=44100)
+        stego = cover(carrier, b"written in place", default_lexicon, seed=6).stego_audio
+        data, peak = traced_peak(write_wav, stego)
+        assert peak < 2**20
+        copied = AudioClip(stego.sample_rate, stego.channel_count, stego.samples.copy())
+        assert data == write_wav(copied)
 
 
 # A valid file with chunks on both sides of the data chunk (one odd-length).
