@@ -99,8 +99,8 @@ def select_samples(n: int, m: int, seed: int) -> list[int]:
 def embed_chunks(samples: np.ndarray, indices: np.ndarray, chunks: np.ndarray) -> np.ndarray:
     """Replace the three low bits of the selected samples with `chunks`; returns a new array.
 
-    The new array is a wav_codec.sample_buffer, so write_wav writes a clip
-    of it in place, with no second copy of the samples.
+    The new array is a wav_codec.sample_buffer, so the first write_wav of
+    a clip of it claims that buffer and copies no sample.
     """
     out = sample_buffer(samples.size)
     out[:] = samples

@@ -7,16 +7,15 @@ signedness never matters at this layer. Chunks other than ``fmt `` and
 a rewritten file stays as close to its source as the format allows.
 The data chunk itself round-trips byte for byte.
 
-A clip whose samples are the tail of a sample_buffer is written in place:
-the buffer's header room becomes the file's header, so writing it copies
-no sample.
+The first write of a clip whose samples are a whole sample_buffer tail
+claims that buffer: its header room becomes the file's header, so the
+write copies no sample.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -38,11 +37,10 @@ _U32 = struct.Struct("<I")
 # RIFF header, fmt chunk and data chunk header of a canonical file
 _HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
 _HEADER_SLOTS = _HEADER.size // BYTES_PER_SAMPLE
-# Every live sample_buffer allocation by id, so write_wav fills the header
-# room of its own buffers only, never the head of a caller's array.
+# Every unclaimed sample_buffer allocation by the address of its sample
+# tail. write_wav pops one to claim its header room, so it fills the room
+# of its own buffers only, once each, never the head of a caller's array.
 _IMAGES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-# Held while write_wav checks a header room and fills it.
-_IMAGE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,31 +183,16 @@ def parse_wav(data) -> AudioClip:
 def sample_buffer(n: int) -> np.ndarray:
     """A writable uint16 array of n samples that write_wav can write in place.
 
-    The array is the tail of one allocation whose first _HEADER.size
-    bytes are zeroed header room. A clip made from it, with no trailing
-    chunks, is written by filling that room with the clip's header: the
-    file is the allocation itself, and no sample is copied. A write to
-    the array after that changes the file write_wav returned.
+    The array is the tail of one allocation with _HEADER.size bytes of
+    header room in front. The first write_wav of a clip of the whole
+    array, with no trailing chunks, claims it: the room gets the header
+    and the file is the allocation itself, so no sample is copied. A
+    write to the array after that changes that file.
     """
     image = np.empty(_HEADER_SLOTS + n, "<u2")
-    image[:_HEADER_SLOTS] = 0
-    _IMAGES[id(image)] = image
-    return image[_HEADER_SLOTS:]
-
-
-def _image_of(clip: AudioClip) -> np.ndarray | None:
-    """The sample_buffer allocation clip's samples are the whole tail of, if any.
-
-    A clip with trailing chunks has none: its file is longer than the
-    allocation.
-    """
-    samples, image = clip.samples, clip.samples.base
-    if clip.trailing_chunks or image is None or _IMAGES.get(id(image)) is not image:
-        return None
-    start = samples.__array_interface__["data"][0] - image.__array_interface__["data"][0]
-    if start != _HEADER.size or samples.size != image.size - _HEADER_SLOTS:
-        return None
-    return image
+    samples = image[_HEADER_SLOTS:]
+    _IMAGES[samples.__array_interface__["data"][0]] = image
+    return samples
 
 
 def write_wav(clip: AudioClip) -> memoryview:
@@ -221,15 +204,13 @@ def write_wav(clip: AudioClip) -> memoryview:
     numpy buffer: it compares ``==`` to bytes, slices, hashes and writes
     to a file as bytes do.
 
-    A clip whose samples are a whole sample_buffer tail, with no
-    trailing chunks, is written in place: its header goes into the
-    buffer's header room and the view covers the buffer, so the file
-    shares memory with the samples. That needs the room to be zero or to
-    hold this clip's header already; a second clip with another header
-    over the same samples is copied, and the first file stays as it was.
-    Any other clip is copied once into a new buffer. A numpy buffer this
-    size is advised onto transparent huge pages, so filling it takes a
-    fraction of the page faults a joined ``bytes`` object does.
+    The first write of a clip over a whole sample_buffer tail, with no
+    trailing chunks, claims that buffer: the header goes into its room
+    and the view covers the buffer, so the file shares memory with the
+    samples. Any other clip, and any later write over the same buffer,
+    is copied once into a new buffer. A numpy buffer this size is
+    advised onto transparent huge pages, so filling it takes a fraction
+    of the page faults a joined ``bytes`` object does.
     """
     data_size = clip.samples.nbytes
     riff_size = _HEADER.size - 8 + data_size
@@ -240,16 +221,14 @@ def write_wav(clip: AudioClip) -> memoryview:
         WAVE_FORMAT_PCM, clip.channel_count, clip.sample_rate,
         clip.sample_rate * block_align, block_align, 16, b"data", data_size,
     )
-    image = _image_of(clip)
-    if image is not None:
+    key = clip.samples.__array_interface__["data"][0]
+    image = None if clip.trailing_chunks else _IMAGES.get(key)
+    # dict.pop is atomic: of all writes over one buffer, one gets it back
+    if image is not None and image.nbytes == _HEADER.size + data_size and _IMAGES.pop(key, None) is image:
         out = image.view(np.uint8)
-        with _IMAGE_LOCK:
-            # Compared as bytes: the CLI's cover runs no numpy reduction, and
-            # a first one (room.any()) raised its resident peak by 128 kB.
-            if out[: _HEADER.size].tobytes() in (bytes(_HEADER.size), header):
-                out[: _HEADER.size] = np.frombuffer(header, np.uint8)
-                out.setflags(write=False)
-                return memoryview(out)
+        out[: _HEADER.size] = np.frombuffer(header, np.uint8)
+        out.setflags(write=False)
+        return memoryview(out)
     out = np.empty(8 + riff_size, np.uint8)
     out[: _HEADER.size] = np.frombuffer(header, np.uint8)
     pos = _HEADER.size + data_size

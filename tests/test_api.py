@@ -55,6 +55,7 @@ def fresh_modules(script, cwd):
         cwd=root / cwd,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         check=True,
     )
     return json.loads(proc.stdout)

@@ -45,9 +45,9 @@ def run_cover(tmp_path, carrier_path, payload=b"meet me at noon", seed="271828")
 
 def damage_first_word(text_path):
     """Replace the location text's first word by one no lexicon holds."""
-    lines = text_path.read_text().splitlines()
+    lines = text_path.read_text(encoding="utf-8").splitlines()
     lines[0] = "xyzzy " + lines[0].split(" ", 1)[1]
-    text_path.write_text("\n".join(lines))
+    text_path.write_text("\n".join(lines), encoding="utf-8")
 
 
 class TestCoverUncover:
@@ -64,7 +64,7 @@ class TestCoverUncover:
 
     def test_text_format(self, tmp_path, carrier_path):
         _, _, text, _ = run_cover(tmp_path, carrier_path)
-        lines = text.read_text().splitlines()
+        lines = text.read_text(encoding="utf-8").splitlines()
         assert lines
         for line in lines:
             words = line.split(" ")
@@ -73,7 +73,7 @@ class TestCoverUncover:
 
     def test_custom_lexicon(self, tmp_path, carrier_path):
         lex_path = tmp_path / "lex.txt"
-        lex_path.write_text(make_lexicon_text(cell_size=3))
+        lex_path.write_text(make_lexicon_text(cell_size=3), encoding="utf-8")
         payload_path = tmp_path / "p.bin"
         payload_path.write_bytes(b"custom")
         stego = tmp_path / "s.wav"
@@ -124,7 +124,7 @@ class TestExitCodes:
 
     def test_bad_lexicon_is_4(self, tmp_path, carrier_path, capsys):
         lex_path = tmp_path / "broken.txt"
-        lex_path.write_text("0|noun|door\n")  # nearly all cells missing
+        lex_path.write_text("0|noun|door\n", encoding="utf-8")  # nearly all cells missing
         payload = tmp_path / "p.bin"
         payload.write_bytes(b"x")
         code = main(
@@ -182,25 +182,25 @@ class TestExitCodes:
         code, stego, text, _ = run_cover(tmp_path, empty, payload=b"")
         assert code == 3
         assert "needs 32 bits but the carrier holds 0" in capsys.readouterr().err
-        text.write_text("eat\n")
+        text.write_text("eat\n", encoding="utf-8")
         assert main(["uncover", str(empty), str(text), "-o", str(tmp_path / "o.bin")]) == 6
         assert "stego audio has no samples" in capsys.readouterr().err
         assert not (tmp_path / "o.bin").exists()
 
     def test_truncated_text_is_6(self, tmp_path, carrier_path, capsys):
         _, stego, text, _ = run_cover(tmp_path, carrier_path)
-        lines = text.read_text().splitlines()
-        text.write_text("\n".join(lines[:-2]))
+        lines = text.read_text(encoding="utf-8").splitlines()
+        text.write_text("\n".join(lines[:-2]), encoding="utf-8")
         code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
         assert code == 6
         capsys.readouterr()
 
     def test_duplicated_line_is_6(self, tmp_path, carrier_path, capsys):
         _, stego, text, _ = run_cover(tmp_path, carrier_path)
-        lines = text.read_text().splitlines()
+        lines = text.read_text(encoding="utf-8").splitlines()
         lines.insert(3, lines[3])
         lines.pop()
-        text.write_text("\n".join(lines))
+        text.write_text("\n".join(lines), encoding="utf-8")
         code = main(["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
         assert code == 6
         assert "sentences 3 and 4" in capsys.readouterr().err

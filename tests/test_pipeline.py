@@ -307,7 +307,7 @@ class TestUncover:
             uncover(stego, bundle.sentences, default_lexicon)
         stego_path, text_path, out = tmp_path / "stego.wav", tmp_path / "text.txt", tmp_path / "out.bin"
         stego_path.write_bytes(write_wav(stego))
-        text_path.write_text("".join(" ".join(words) + "\n" for words in bundle.sentences))
+        text_path.write_text("".join(" ".join(words) + "\n" for words in bundle.sentences), encoding="utf-8")
         assert cli.main(["uncover", str(stego_path), str(text_path), "-o", str(out)]) == 6
         assert message in capsys.readouterr().err
         assert not out.exists()

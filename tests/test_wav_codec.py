@@ -1,3 +1,4 @@
+import gc
 import struct
 import sys
 import threading
@@ -14,6 +15,7 @@ from duostego.errors import (
     UnsupportedCodecError,
     UnsupportedDepthError,
 )
+from duostego import wav_codec
 from duostego.pipeline import cover
 from duostego.wav_codec import AudioClip, parse_wav, sample_buffer, write_wav
 
@@ -239,9 +241,13 @@ class TestWriteInPlace:
         samples = self.filled(np.arange(count) * 4099)
         clip = AudioClip(22050, 1, samples)
         out = write_wav(clip)
-        assert bytes(out) == write_wav_oracle(clip)
+        kept = bytes(out)
+        assert kept == write_wav_oracle(clip)
         assert np.shares_memory(out.obj, samples)
-        assert write_wav(clip) == out  # the room holds this header: in place again
+        again = write_wav(clip)  # the first write claimed the room: copied
+        assert bytes(again) == kept
+        assert not np.shares_memory(again.obj, samples)
+        assert bytes(out) == kept
 
     def test_output_stays_read_only(self):
         samples = self.filled([1, 2, 3])
@@ -266,7 +272,8 @@ class TestWriteInPlace:
 
     def test_racing_headers_one_is_written_in_place(self):
         # more threads than cores, switching as often as the interpreter
-        # allows: a check-then-write without the lock lets two headers in
+        # allows: only the write that pops the buffer's claim fills its room,
+        # so a look-up that did not remove the claim would let two headers in
         threads_per_round = 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -319,6 +326,37 @@ class TestWriteInPlace:
         out = write_wav(stego)
         assert bytes(out) == write_wav_oracle(stego)
         assert not np.shares_memory(out.obj, stego.samples)
+
+
+class TestRegistry:
+    """A sample_buffer's registry entry goes when it is claimed or dropped."""
+
+    @staticmethod
+    def entries() -> int:
+        return len(wav_codec._IMAGES)
+
+    def test_dropped_buffers_leave_no_entry(self):
+        gc.collect()
+        before = self.entries()
+        buffers = [sample_buffer(8) for _ in range(1000)]
+        assert self.entries() == before + 1000
+        del buffers
+        assert self.entries() == before
+
+    @pytest.mark.parametrize("written", [True, False], ids=["written", "unwritten"])
+    def test_cover_leaves_no_entry(self, default_lexicon, written):
+        carrier = AudioClip(8000, 1, np.random.default_rng(6).integers(0, 1 << 16, 5000, dtype=np.uint16))
+        gc.collect()
+        before = self.entries()
+        bundle = cover(carrier, b"registry", default_lexicon, seed=7)
+        assert self.entries() == before + 1
+        if written:
+            out = write_wav(bundle.stego_audio)
+            assert np.shares_memory(out.obj, bundle.stego_audio.samples)
+            assert self.entries() == before  # claimed
+            del out
+        del bundle
+        assert self.entries() == before
 
 
 class TestRoundTrip:
