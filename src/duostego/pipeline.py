@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import operator
 import os
-import secrets
 from dataclasses import dataclass
 from functools import partial
+from random import SystemRandom
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,9 @@ _SPAN = 1 << 20
 # bench/layers.py imports both of them from here.
 from . import grammar as DEFAULT_GRAMMAR
 decode_sentence = Lexicon.digits_of
+# `import secrets` would load hashlib and OpenSSL (about 3.7 MB in every
+# process); pinned cover's secrets.randbits(64) gets the same os.urandom bits.
+secrets = SimpleNamespace(randbits=SystemRandom().getrandbits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import duostego
-from duostego import grammar, pipeline
+from duostego import cli, grammar, pipeline
 
 INTERNAL = {
     "DEFAULT_GRAMMAR": "duostego.pipeline",
@@ -18,6 +19,7 @@ INTERNAL = {
     "GridGeometry": "duostego.sample_grid",
     "geometry": "duostego.sample_grid",
     "decode_sentence": "duostego.pipeline",
+    "secrets": "duostego.pipeline",
 }
 
 
@@ -61,10 +63,13 @@ def fresh_modules(script, cwd):
     return json.loads(proc.stdout)
 
 
+SETUP = "import child\nassert child.main(['setup']) == 0\n"
+
+
 def test_setup_loads_no_thread_pool():
     # The benchmark's setup_s times a fresh interpreter that runs
     # bench/child.py's set-up; concurrent.futures would add about 2 ms.
-    modules = fresh_modules("import child\nassert child.main(['setup']) == 0\n", "bench")
+    modules = fresh_modules(SETUP, "bench")
     assert "duostego.pipeline" in modules and "threading" in modules
     assert "concurrent.futures" not in modules
 
@@ -81,3 +86,36 @@ def test_one_span_report_loads_no_thread_pool():
     modules = fresh_modules(script, ".")
     assert "duostego.cli" in modules and "duostego.pipeline" in modules
     assert "concurrent.futures" not in modules and "logging" not in modules
+
+
+COMMANDS = {
+    "cover-seed": ["cover", "carrier.wav", "payload.bin", "-o", "s.wav", "-t", "s.txt", "--seed", "7"],
+    "cover": ["cover", "carrier.wav", "payload.bin", "-o", "r.wav", "-t", "r.txt"],
+    "uncover": ["uncover", "stego.wav", "stego.txt", "-o", "out.bin"],
+    "inspect": ["inspect", "carrier.wav", "stego.wav"],
+    "capacity": ["capacity", "carrier.wav"],
+}
+
+
+@pytest.mark.parametrize("run", ["setup", *COMMANDS])
+def test_start_up_loads_no_openssl(run, tmp_path, monkeypatch):
+    # `import secrets` loads hashlib, which maps OpenSSL's libcrypto:
+    # about 3.7 MB on the peak of every process, seedless cover or not.
+    if run == "setup":
+        modules = fresh_modules(SETUP, "bench")
+    else:
+        monkeypatch.chdir(tmp_path)
+        samples = np.random.default_rng(0).integers(0, 1 << 16, size=4000, dtype=np.uint16)
+        (tmp_path / "carrier.wav").write_bytes(duostego.write_wav(duostego.AudioClip(8000, 1, samples)))
+        (tmp_path / "payload.bin").write_bytes(b"payload")
+        assert cli.main(["cover", "carrier.wav", "payload.bin", "-o", "stego.wav", "-t", "stego.txt"]) == 0
+        script = (
+            "import contextlib, io\n"
+            "from duostego import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({COMMANDS[run]!r}) == 0\n"
+        )
+        modules = fresh_modules(script, tmp_path)
+        assert "duostego.cli" in modules
+    assert "duostego.pipeline" in modules
+    assert not {"_hashlib", "hashlib", "hmac", "secrets"} & set(modules)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 import threading
 import time
@@ -121,6 +122,22 @@ class TestCover:
         replay = cover(carrier, b"secret", default_lexicon, seed=one.seed_used)
         assert replay.sentences == one.sentences
         assert same_clip(replay.stego_audio, one.stego_audio)
+
+    def test_default_seed_comes_from_os_entropy(self, default_lexicon):
+        # A seed drawn from the seedable module-level Mersenne Twister would
+        # make the sample positions predictable: seeding it must not repeat one.
+        carrier = random_carrier(400, seed=7)
+        state = random.getstate()
+        try:
+            used = []
+            for _ in range(2):
+                random.seed(0)
+                used.append(cover(carrier, b"secret", default_lexicon).seed_used)
+        finally:
+            random.setstate(state)
+        assert used[0] != used[1]  # 2^-64 collision chance
+        assert all(type(seed) is int and 0 <= seed < 1 << 64 for seed in used)
+        assert isinstance(pipeline.secrets.randbits.__self__, random.SystemRandom)
 
     def test_int16_carrier_covers_as_its_uint16_twin(self, default_lexicon):
         twin = random_carrier(1200, seed=12, channels=2)
