@@ -9,7 +9,8 @@ The text intermediate is written one sentence per line, lowercase
 words separated by single spaces; reading back tolerates any amount of
 whitespace and any letter case.
 
-main() runs each command with the cyclic garbage collector paused.
+PARSER is built once, at import; main() parses with it and runs each
+command with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -113,52 +114,47 @@ def _undecodable(exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="duostego",
-        description=(
-            "Hide data in the three low bits of randomly chosen 16-bit WAV "
-            "samples; the chosen positions are encoded as English sentences."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+PARSER = argparse.ArgumentParser(
+    prog="duostego",
+    description=(
+        "Hide data in the three low bits of randomly chosen 16-bit WAV "
+        "samples; the chosen positions are encoded as English sentences."
+    ),
+)
+sub = PARSER.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cover", help="hide a payload in a carrier WAV")
-    p.add_argument("carrier", help="carrier WAV path (16-bit PCM)")
-    p.add_argument("payload", help="payload file path")
-    p.add_argument("-o", "--out-wav", required=True, help="stego WAV output path")
-    p.add_argument("-t", "--out-text", required=True, help="location text output path")
-    p.add_argument("--lexicon", help="lexicon file (default: bundled)")
-    p.add_argument("--seed", type=int, help="64-bit seed for reproducible covering")
-    p.set_defaults(handler=cmd_cover)
+p = sub.add_parser("cover", help="hide a payload in a carrier WAV")
+p.add_argument("carrier", help="carrier WAV path (16-bit PCM)")
+p.add_argument("payload", help="payload file path")
+p.add_argument("-o", "--out-wav", required=True, help="stego WAV output path")
+p.add_argument("-t", "--out-text", required=True, help="location text output path")
+p.add_argument("--lexicon", help="lexicon file (default: bundled)")
+p.add_argument("--seed", type=int, help="64-bit seed for reproducible covering")
 
-    p = sub.add_parser("uncover", help="recover a payload from stego WAV + text")
-    p.add_argument("stego", help="stego WAV path")
-    p.add_argument("text", help="location text path")
-    p.add_argument("-o", "--out", required=True, help="recovered payload output path")
-    p.add_argument("--lexicon", help="lexicon file (default: bundled)")
-    p.set_defaults(handler=cmd_uncover)
+p = sub.add_parser("uncover", help="recover a payload from stego WAV + text")
+p.add_argument("stego", help="stego WAV path")
+p.add_argument("text", help="location text path")
+p.add_argument("-o", "--out", required=True, help="recovered payload output path")
+p.add_argument("--lexicon", help="lexicon file (default: bundled)")
 
-    p = sub.add_parser("capacity", help="print a carrier's payload capacity")
-    p.add_argument("carrier", help="carrier WAV path")
-    p.set_defaults(handler=cmd_capacity)
+p = sub.add_parser("capacity", help="print a carrier's payload capacity")
+p.add_argument("carrier", help="carrier WAV path")
 
-    p = sub.add_parser("inspect", help="compare original and stego WAVs")
-    p.add_argument("original", help="original WAV path")
-    p.add_argument("stego", help="stego WAV path")
-    p.set_defaults(handler=cmd_inspect)
-
-    return parser
+p = sub.add_parser("inspect", help="compare original and stego WAVs")
+p.add_argument("original", help="original WAV path")
+p.add_argument("stego", help="stego WAV path")
+del sub, p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     # Commands build no reference cycles, so collector passes over their
     # ~10^5 word lists would find nothing; the caller's state is restored.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        # Looked up per call, so a cmd_* rebound on the module is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except UnicodeDecodeError as exc:
         print(f"error: {_undecodable(exc)}", file=sys.stderr)
         return 1

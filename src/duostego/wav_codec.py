@@ -226,16 +226,14 @@ def write_wav(clip: AudioClip) -> memoryview:
     # dict.pop is atomic: of all writes over one buffer, one gets it back
     if image is not None and image.nbytes == _HEADER.size + data_size and _IMAGES.pop(key, None) is image:
         out = image.view(np.uint8)
-        out[: _HEADER.size] = np.frombuffer(header, np.uint8)
-        out.setflags(write=False)
-        return memoryview(out)
-    out = np.empty(8 + riff_size, np.uint8)
+    else:
+        out = np.empty(8 + riff_size, np.uint8)
+        pos = _HEADER.size + data_size
+        out[_HEADER.size : pos].view("<u2")[:] = clip.samples
+        for cid, body in clip.trailing_chunks:
+            padded = len(body) + (len(body) & 1)  # "s" fills the pad byte with a zero
+            struct.pack_into(f"<4sI{padded}s", out, pos, cid, len(body), body)
+            pos += 8 + padded
     out[: _HEADER.size] = np.frombuffer(header, np.uint8)
-    pos = _HEADER.size + data_size
-    out[_HEADER.size : pos].view("<u2")[:] = clip.samples
-    for cid, body in clip.trailing_chunks:
-        padded = len(body) + (len(body) & 1)  # "s" fills the pad byte with a zero
-        struct.pack_into(f"<4sI{padded}s", out, pos, cid, len(body), body)
-        pos += 8 + padded
     out.setflags(write=False)
     return memoryview(out)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duostego import cli, errors
-from duostego.cli import build_parser, main
+from duostego.cli import main
 from duostego.wav_codec import AudioClip, parse_wav, write_wav
 
 from conftest import make_lexicon_text, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes
@@ -479,6 +480,34 @@ def test_error_exit_code(monkeypatch, capsys, name, code):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+class TestParser:
+    """cli.PARSER is built once, at import, and every main() call parses with it."""
+
+    def test_main_builds_no_parser(self, carrier_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["capacity", str(carrier_path)]) == 0
+        assert main(["capacity", str(carrier_path)]) == 0
+        with pytest.raises(SystemExit):
+            main(["cover", str(carrier_path)])
+        assert built == []
+        capsys.readouterr()
+
+    def test_usage_error_exits_2(self, carrier_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cover", str(carrier_path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: duostego cover ")
+        assert main(["capacity", str(carrier_path)]) == 0
+        assert capsys.readouterr().out.startswith("746 payload bytes (2000 samples")
+
+
 @pytest.fixture
 def restore_collector():
     """Put the collector back as the test found it, whatever the test set."""
@@ -538,11 +567,11 @@ class TestCollectorPause:
             "inspect": ["inspect", str(carrier_path), str(stego)],
             "capacity": ["capacity", str(carrier_path)],
         }.get(command, ["uncover", str(stego), str(text), "-o", str(tmp_path / "o.bin")])
-        args = build_parser().parse_args(argv)
+        args = cli.PARSER.parse_args(argv)
         gc.collect()
         gc.disable()
         try:
-            args.handler(args)
+            getattr(cli, f"cmd_{args.command}")(args)
         except errors.UnknownWordError:
             assert failing
         else:
