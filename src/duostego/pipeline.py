@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
-from functools import partial
 from random import SystemRandom
 from types import SimpleNamespace
 from typing import Sequence
@@ -40,9 +38,6 @@ _TEXT_STREAM_SALT = 0x74657874_73746567
 # they stay in cache. A block's power sums are below _BLOCK * 0xFFFF**2,
 # which must stay under 2**63 for the int64 dots to be exact.
 _BLOCK = 1 << 16
-# distortion_report gives each worker a span of about this many samples
-# or more, so a clip under twice this size is walked by the caller alone.
-_SPAN = 1 << 20
 # The pinned cover and uncover loops call these two names, and
 # bench/layers.py imports both of them from here.
 from . import grammar as DEFAULT_GRAMMAR
@@ -171,23 +166,27 @@ def uncover(stego: AudioClip, sentences: Sequence[Sequence[str]], lexicon: Lexic
     return payload_codec.bits_to_bytes(payload_bits)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport:
+    """Per-sample damage statistics plus signal-to-noise ratio in dB.
 
-
-def _span_totals(original: np.ndarray, stego: np.ndarray, start: int, stop: int) -> tuple[int, ...]:
-    """(changed, max delta, |delta| sum, signal power, noise power) over [start, stop).
-
-    start is a multiple of _BLOCK and stop is one too or the clip's end,
-    so the blocks are the ones a walk over the whole clip would take.
+    Deltas are over the unsigned 16-bit patterns; the SNR interprets
+    samples as signed amplitudes. SNR is +inf for identical clips.
+    Walks _BLOCK-sample blocks with Python-int totals, so extra memory
+    is bounded; mean_abs_delta is the exact |delta| sum divided by n.
+    Per block, one int64 dot gives the signal power exactly (its sum
+    stays below _BLOCK * 0xFFFF**2 < 2**63) and one comparison counts
+    the changed samples. An unchanged sample adds nothing to the damage
+    sums, so when fewer than a quarter of a block changed they are taken
+    over the changed samples alone: past that one pass over the
+    original, cost follows the damage rather than the carrier.
     """
+    n = original.sample_count
+    if n != stego.sample_count:
+        raise LengthMismatchError(f"clips have {n} and {stego.sample_count} samples")
     changed = max_delta = abs_sum = signal_power = noise_power = 0
-    for block in range(start, stop, _BLOCK):
-        x = original[block : block + _BLOCK]
-        y = stego[block : block + _BLOCK]
+    for block in range(0, n, _BLOCK):
+        x = original.samples[block : block + _BLOCK]
+        y = stego.samples[block : block + _BLOCK]
         signal = x.view(np.int16).astype(np.int64)
         signal_power += int(np.dot(signal, signal))
         moved = x != y
@@ -203,51 +202,6 @@ def _span_totals(original: np.ndarray, stego: np.ndarray, start: int, stop: int)
         max_delta = max(max_delta, int(delta.max()))
         abs_sum += int(delta.sum(dtype=np.int64))
         noise_power += int(np.dot(noise, noise))
-    return changed, max_delta, abs_sum, signal_power, noise_power
-
-
-def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport:
-    """Per-sample damage statistics plus signal-to-noise ratio in dB.
-
-    Deltas are over the unsigned 16-bit patterns; the SNR interprets
-    samples as signed amplitudes. SNR is +inf for identical clips.
-    Walks _BLOCK-sample blocks with Python-int totals, so extra memory
-    is bounded per worker; mean_abs_delta is the exact |delta| sum
-    divided by n. Per block, one int64 dot gives the signal power
-    exactly (its sum stays below _BLOCK * 0xFFFF**2 < 2**63) and one
-    comparison counts the changed samples. An unchanged sample adds
-    nothing to the damage sums, so when fewer than a quarter of a block
-    changed they are taken over the changed samples alone: past that one
-    pass over the original, cost follows the damage rather than the
-    carrier.
-
-    The clip is cut at block edges into one span per worker, with
-    min(CPUs, n // _SPAN) workers and at least one: the caller walks
-    the first span and a pool of workers - 1 threads the others, numpy
-    releasing the GIL inside the block arithmetic. The integer totals
-    are summed (the max delta maxed), so the report does not depend on
-    the split, and an exception from any span is raised here.
-    """
-    n = original.sample_count
-    if n != stego.sample_count:
-        raise LengthMismatchError(f"clips have {n} and {stego.sample_count} samples")
-    workers = max(1, min(_cpu_count(), n // _SPAN))
-    blocks = -(-n // _BLOCK)
-    edges = [blocks * i // workers * _BLOCK for i in range(workers)] + [n]
-    walk = partial(_span_totals, original.samples, stego.samples)
-    if workers == 1:
-        totals = [walk(0, n)]
-    else:
-        # Imported here: concurrent.futures loads logging, which start-up
-        # and one-span clips need not pay for.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            rest = pool.map(walk, edges[1:-1], edges[2:])
-            totals = [walk(0, edges[1]), *rest]
-    changed, max_delta, abs_sum, signal_power, noise_power = (
-        merge(column) for merge, column in zip((sum, max, sum, sum, sum), zip(*totals))
-    )
     if noise_power == 0:
         snr = math.inf
     else:

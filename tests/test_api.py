@@ -74,13 +74,16 @@ def test_setup_loads_no_thread_pool():
     assert "concurrent.futures" not in modules
 
 
-def test_one_span_report_loads_no_thread_pool():
-    # Only a clip of two spans or more needs the pool; concurrent.futures
-    # and the logging it loads would cost a one-span inspect 2-3 ms.
+# One block, and 2**21 + 1 samples: two spans of 2**20 samples and more, which
+# a walk split across CPUs would put on a second thread.
+@pytest.mark.parametrize("n", [1 << 16, (1 << 21) + 1])
+def test_report_loads_no_thread_pool(n):
+    # The caller walks a clip of any length alone; concurrent.futures and
+    # the logging it loads would cost an inspect 2-3 ms.
     script = (
         "import numpy as np\n"
         "import duostego, duostego.cli\n"
-        "clip = duostego.AudioClip(8000, 1, np.zeros(1 << 16, np.uint16))\n"
+        f"clip = duostego.AudioClip(8000, 1, np.zeros({n}, np.uint16))\n"
         "assert duostego.distortion_report(clip, clip).samples_changed == 0\n"
     )
     modules = fresh_modules(script, ".")

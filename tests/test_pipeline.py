@@ -2,8 +2,6 @@ import json
 import math
 import random
 import struct
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -377,42 +375,11 @@ _clip_pairs = st.integers(0, 100).flatmap(
 )
 
 
-def spy_threads(mp):
-    """(threads started, spans walked) while mp is active; spans as (start, stop)."""
-    started, spans = [], []
-    start, walk = threading.Thread.start, pipeline._span_totals
-
-    def spy_start(thread):
-        started.append(thread)
-        start(thread)
-
-    def spy_walk(original, stego, lo, hi):
-        spans.append((lo, hi))
-        return walk(original, stego, lo, hi)
-
-    mp.setattr(threading.Thread, "start", spy_start)
-    mp.setattr(pipeline, "_span_totals", spy_walk)
-    return started, spans
-
-
-def check_split(started, spans, n, workers, block):
-    """Exactly `workers` spans tile [0, n) at block edges, on workers - 1 threads at most."""
-    spans = sorted(spans)
-    assert len(spans) == workers
-    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-    assert spans[-1][1] == n
-    assert all(lo % block == 0 for lo, _ in spans)
-    # The pool starts a thread on its first task and may reuse it for the
-    # rest, so only the upper bound is fixed.
-    assert (len(started) == 0) if workers == 1 else (1 <= len(started) <= workers - 1)
-    assert not any(t.is_alive() for t in started)
-
-
-def split(mp, cpus, block=4, span=8):
-    """Make distortion_report cut tiny clips into spans of tiny blocks."""
-    mp.setattr(pipeline, "_BLOCK", block)
-    mp.setattr(pipeline, "_SPAN", span)
-    mp.setattr(pipeline, "_cpu_count", lambda: cpus)
+def block_report(original, stego, block):
+    """distortion_report over uint16 arrays, walked in blocks of `block` samples."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_BLOCK", block)
+        return distortion_report(clip_of(original), clip_of(stego))
 
 
 class TestDistortionReport:
@@ -488,27 +455,21 @@ class TestDistortionReport:
         # 2**63 the int64 dots would wrap silently.
         assert pipeline._BLOCK * 0xFFFF**2 < 2**63
 
-    # A span of at least `span` samples per worker and up to `cpus`
-    # workers, so small clips are split too.
-    @given(_clip_pairs, st.integers(1, 7), st.integers(1, 20), st.integers(1, 5))
-    @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2, 1, 1)  # -inf dB
-    @example((np.array([0x7FFF], np.uint16), np.array([0xFFFF], np.uint16)), 1, 1, 1)  # sign wrap
+    @given(_clip_pairs, st.integers(1, 7))
+    @example((np.zeros(3, np.uint16), np.array([0, 5, 0], np.uint16)), 2)  # -inf dB
+    @example((np.array([0x7FFF], np.uint16), np.array([0xFFFF], np.uint16)), 1)  # sign wrap
     @example(  # the sign wrap alone in a block of 7: the gathered branch
         (
             np.array([0, 0, 0, 0x7FFF, 0, 0, 0], np.uint16),
             np.array([0, 0, 0, 0xFFFF, 0, 0, 0], np.uint16),
         ),
         7,
-        1,
-        1,
     )
     @settings(max_examples=200)
-    def test_blocks_match_whole_array_oracle(self, clips, block, span, cpus):
+    def test_blocks_match_whole_array_oracle(self, clips, block):
         original, masks = clips
         stego = original ^ masks
-        with pytest.MonkeyPatch.context() as mp:
-            split(mp, cpus, block, span)
-            report = distortion_report(clip_of(original), clip_of(stego))
+        report = block_report(original, stego, block)
         changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
         assert report.samples_changed == changed
         assert report.max_abs_delta == max_delta
@@ -521,18 +482,13 @@ class TestDistortionReport:
     @staticmethod
     def _peak_when_every(stride):
         """Peak bytes of distortion_report when every stride-th sample changed."""
-        # 48 full blocks and a ragged one, in two spans whatever the host's
-        # CPU count. The whole-array int64 formula (oracles.distortion_oracle)
-        # peaks near 150 MB here.
+        # 48 full blocks and a ragged one. The whole-array int64 formula
+        # (oracles.distortion_oracle) peaks near 150 MB here.
         original = random_carrier(3 * (1 << 20) + 5, seed=33)
         masks = np.zeros(original.sample_count, np.uint16)
         masks[::stride] = 5
         stego = original.with_samples(original.samples ^ masks)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "_cpu_count", lambda: 2)
-            started, spans = spy_threads(mp)
-            report, peak = traced_peak(distortion_report, original, stego)
-        check_split(started, spans, original.sample_count, 2, pipeline._BLOCK)
+        report, peak = traced_peak(distortion_report, original, stego)
         assert report.samples_changed == masks[::stride].size
         return peak
 
@@ -542,25 +498,11 @@ class TestDistortionReport:
     def test_sparse_peak_memory_bounded(self):
         assert self._peak_when_every(10_000) < 4 * 2**20  # gathered branch
 
-
-class TestDistortionSpans:
-    """distortion_report over several spans matches the whole-array oracle."""
-
     @staticmethod
-    def reports(original, stego):
-        """(report over four spans, one-span report); checks the four-span split."""
-        with pytest.MonkeyPatch.context() as mp:
-            split(mp, 4)
-            started, spans = spy_threads(mp)
-            report = distortion_report(clip_of(original), clip_of(stego))
-            check_split(started, spans, original.size, 4, 4)
-            mp.setattr(pipeline, "_cpu_count", lambda: 1)
-            whole = distortion_report(clip_of(original), clip_of(stego))
-        return report, whole
-
-    def check(self, original, stego):
-        report, whole = self.reports(original, stego)
-        assert report == whole
+    def check_blocks(original, stego):
+        """The report in blocks of 4 samples; it matches the default walk and the oracle."""
+        report = block_report(original, stego, 4)
+        assert report == distortion_report(clip_of(original), clip_of(stego))
         changed, max_delta, mean_delta, snr = distortion_oracle(original, stego)
         assert (report.samples_changed, report.max_abs_delta, report.snr_db) == (
             changed,
@@ -570,101 +512,32 @@ class TestDistortionSpans:
         assert report.mean_abs_delta == pytest.approx(mean_delta, rel=1e-12)
         return report
 
-    # Blocks of 4 samples, cut as evenly as whole blocks allow. Each last
-    # span is ragged: it ends in a block of one sample.
-    @pytest.mark.parametrize("edges", [[0, 8, 16, 24, 33], [0, 8, 20, 28, 37]])
-    def test_changes_on_every_span_edge(self, edges):
-        original = random_carrier(edges[-1], seed=34).samples
+    # Blocks of 4 samples; each clip ends in a ragged block of one sample.
+    @pytest.mark.parametrize("n", [33, 37])
+    def test_changes_on_every_block_edge(self, n):
+        original = random_carrier(n, seed=34).samples
         stego = original.copy()
-        for start, stop in zip(edges, edges[1:]):
-            stego[[start, stop - 1]] ^= np.uint16(0x8005)
-        report = self.check(original, stego)
-        assert report.samples_changed == 8
+        edges = sorted({i for start in range(0, n, 4) for i in (start, min(start + 3, n - 1))})
+        stego[edges] ^= np.uint16(0x8005)
+        report = self.check_blocks(original, stego)
+        assert report.samples_changed == len(edges) == n // 4 * 2 + 1
         assert report.max_abs_delta >= 0x7FFB
 
-    def test_ragged_last_span_alone_changed(self):
+    def test_ragged_last_block_alone_changed(self):
         original = random_carrier(37, seed=35).samples
         stego = original.copy()
         stego[-1] ^= 3
-        assert self.check(original, stego).samples_changed == 1
+        assert self.check_blocks(original, stego).samples_changed == 1
 
-    def test_identical_clips(self):
+    def test_identical_clips_in_blocks(self):
         original = random_carrier(37, seed=36).samples
-        assert self.check(original, original.copy()).snr_db == math.inf
+        assert self.check_blocks(original, original.copy()).snr_db == math.inf
 
     def test_silent_original(self):
         original = np.zeros(37, np.uint16)
         stego = original.copy()
         stego[[3, 20, 36]] = [1, 0xFFFF, 7]
-        assert self.check(original, stego).snr_db == -math.inf
-
-    @pytest.mark.parametrize("cpus", [None, 1, 4])
-    def test_cpu_count_without_affinity(self, monkeypatch, cpus):
-        # Without os.sched_getaffinity, os.cpu_count gives the CPUs, or 1
-        # when it cannot tell; the report does not depend on the split.
-        original = random_carrier(37, seed=39).samples
-        stego = original ^ np.uint16(5)
-        whole = distortion_report(clip_of(original), clip_of(stego))
-        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(pipeline, "_BLOCK", 4)
-        monkeypatch.setattr(pipeline, "_SPAN", 8)
-        started, spans = spy_threads(monkeypatch)
-        assert pipeline._cpu_count() == (cpus or 1)
-        assert distortion_report(clip_of(original), clip_of(stego)) == whole
-        check_split(started, spans, 37, cpus or 1, 4)
-
-    # threads: the most the pool may start, one fewer than the spans.
-    @pytest.mark.parametrize("n, threads", [((1 << 21) - 1, 0), (1 << 21, 1)])
-    def test_clip_below_split_size_starts_no_thread(self, monkeypatch, n, threads):
-        # Real block and span sizes: a second worker needs 2 * 2**20 samples.
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 8)
-        started, spans = spy_threads(monkeypatch)
-        clip = clip_of(np.zeros(n, np.uint16))
-        assert distortion_report(clip, clip).samples_changed == 0
-        check_split(started, spans, n, threads + 1, pipeline._BLOCK)
-
-    def test_error_in_later_span_surfaces_as_itself(self, monkeypatch):
-        boom = MemoryError("span")
-        walk = pipeline._span_totals
-
-        def failing(original, stego, start, stop):
-            if start >= 16:
-                raise boom
-            return walk(original, stego, start, stop)
-
-        split(monkeypatch, 4)
-        monkeypatch.setattr(pipeline, "_span_totals", failing)
-        started, _ = spy_threads(monkeypatch)
-        clip = random_carrier(37, seed=37)
-        with pytest.raises(MemoryError) as info:
-            distortion_report(clip, clip)
-        assert info.value is boom
-        assert 1 <= len(started) <= 3 and not any(t.is_alive() for t in started)
-
-    def test_error_in_callers_span_surfaces_after_the_pool(self, monkeypatch):
-        boom = MemoryError("first span")
-        walk = pipeline._span_totals
-        finished = []
-
-        def failing(original, stego, start, stop):
-            if start == 0:
-                assert threading.current_thread() is caller
-                raise boom
-            time.sleep(0.02)  # still running when the caller's span fails
-            finished.append(start)
-            return walk(original, stego, start, stop)
-
-        caller = threading.current_thread()
-        split(monkeypatch, 4)
-        monkeypatch.setattr(pipeline, "_span_totals", failing)
-        started, _ = spy_threads(monkeypatch)
-        clip = random_carrier(37, seed=38)
-        with pytest.raises(MemoryError) as info:
-            distortion_report(clip, clip)
-        assert info.value is boom
-        assert sorted(finished) == [8, 20, 28]
-        assert 1 <= len(started) <= 3 and not any(t.is_alive() for t in started)
+        assert self.check_blocks(original, stego).snr_db == -math.inf
 
 
 @pytest.fixture(scope="module")
