@@ -54,18 +54,34 @@ def test_sign_test_k(n, k):
 
 
 @pytest.mark.parametrize(
-    "lo, hi, verdict",
+    "lo, hi, clear, verdict",
     [
-        (0.5, 0.99, "better"),
-        (1.26, 2.0, "worse"),
-        (0.9, 1.25, "within the bound"),
-        (1.0, 1.0, "within the bound"),
-        (0.9, 1.26, "unresolved"),
-        (0.0, math.inf, "unresolved"),
+        (0.5, 0.99, True, "better"),
+        # An interval below 1 is no gain while the medians differ by less than the parent's IQR.
+        (0.5, 0.99, False, "within the bound"),
+        (1.26, 2.0, False, "worse"),
+        (0.9, 1.25, False, "within the bound"),
+        (1.0, 1.0, False, "within the bound"),
+        (0.9, 1.26, False, "unresolved"),
+        (0.0, math.inf, False, "unresolved"),
     ],
 )
-def test_verdict(lo, hi, verdict):
-    assert bench_pairs.verdict(lo, hi, 0.25) == verdict
+def test_verdict(lo, hi, clear, verdict):
+    assert bench_pairs.verdict(lo, hi, 0.25, clear) == verdict
+
+
+@pytest.mark.parametrize(
+    "change, clear",
+    [
+        # The parent's quartiles are 1.75 and 4.25 (IQR 2.5) and its median 3.
+        ([0.3, 0.4, 0.4, 0.5, 0.6], True),
+        # A gap of exactly the IQR does not clear it.
+        ([0.5, 0.5, 0.5, 0.5, 0.5], False),
+        ([2.0, 2.0, 2.0, 2.0, 2.0], False),
+    ],
+)
+def test_clears_spread(change, clear):
+    assert bench_pairs.clears_spread([1.0, 2.5, 3.0, 4.0, 4.5], change) is clear
 
 
 def test_unequal_pair_sets_are_an_error(tmp_path, capsys):
@@ -110,15 +126,31 @@ def test_runs_alternate_and_write_valid_records(tmp_path):
     assert calls == (odd + even) * 3
 
     sources = {"parent": "commit p", "change": "commit p with this change applied"}
-    paths = bench_pairs.write_records(tmp_path, "prX", sources, 25.0, 1.0, runs)
+    paths = bench_pairs.write_records(tmp_path, "prX", sources, runs)
     assert [path.name for path in paths] == ["BENCH_prX-parent.json", "BENCH_prX.json"]
     for path in paths:
         assert problems_of(path.read_text("utf-8")) == []
     parent, change = map(load, paths)
     assert parent["label"] == "prX-parent" and change["source"].startswith("commit p with")
+    assert "--seconds 25 " in change["command"] and "--scale" not in change["command"]
     assert [run["pair"] for run in change["workloads"]["full-capacity"]["runs"]] == [1, 2, 3, 4, 5, 6]
     assert "inspect_minflt" in change["workloads"]["full-capacity"]["runs"][0]
     rows = bench_pairs.compare(parent, change)
     # Six pairs give k = 1: the interval runs from the least ratio to the greatest.
     assert all(row["interval"] == (0.5, 0.5) and row["verdict"] == "better" for row in rows)
     assert all(row["median"] == 0.5 and row["wins"] == 6 for row in rows)
+
+
+def test_run_refuses_checkouts_whose_paths_differ_in_length(tmp_path, monkeypatch, capsys):
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change-x").mkdir()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    monkeypatch.setattr(bench_pairs, "run_pairs", no_run)
+    argv = ["run", str(tmp_path / "parent"), str(tmp_path / "change-x"), "--label", "prX", "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 2
+    assert "length" in capsys.readouterr().err
+    assert list(tmp_path.glob("BENCH_*")) == []

@@ -10,8 +10,10 @@ and the workloads are interleaved pair by pair, so a drift in the
 host's speed falls on both sides alike. Each run also counts the minor
 page faults of every timed `inspect`. The runs are written as
 BENCH_<label>-parent.json and BENCH_<label>.json, in the format that
-tests/test_bench_records.py checks. Give the two checkouts paths of equal
-length: the paths are in every command line the benchmark runs.
+tests/test_bench_records.py checks. Every run is BENCHMARK.json's
+run_seconds long, at scale 1. The two checkouts' paths must be of equal
+length, since the paths are in every command line the benchmark runs;
+`run` refuses them otherwise.
 
 `compare` takes, per workload and end-to-end metric, the ratio
 change/parent of each pair. It prints their median, the pairs the change
@@ -19,8 +21,10 @@ won, and a sign-test interval for the median ratio: the k-th smallest
 and k-th largest ratio, with k the largest such that
 P(Bin(N, 1/2) <= k - 1) <= 0.025 (k = 2 for 10 pairs: a 97.9% interval).
 The verdict, with b the metric's bound in BENCHMARK.json, is `better` if
-the whole interval is below 1, `worse` if it is above 1 + b, `within the
-bound` if its top is at most 1 + b, and `unresolved` otherwise.
+the whole interval is below 1 and the change's median is below the
+parent's by more than the parent's interquartile range, `worse` if the
+interval is above 1 + b, `within the bound` if its top is at most 1 + b,
+and `unresolved` otherwise.
 """
 
 from __future__ import annotations
@@ -75,9 +79,9 @@ sys.exit(code)
 """
 
 
-def run_one(checkout: Path, workload: str, seconds: float, scale: float) -> dict:
+def run_one(checkout: Path, workload: str) -> dict:
     """One wrapped bench/run.py run: {"record", "result", "inspect_minflt"}."""
-    argv = ["--workload", workload, "--seconds", str(seconds), "--scale", str(scale), "--trace", "0"]
+    argv = ["--workload", workload, "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, "-c", WRAPPER, *argv],
         cwd=checkout,
@@ -114,14 +118,13 @@ def medians(runs: list[dict]) -> dict:
     }
 
 
-def record_doc(label: str, source: str, seconds: float, scale: float, runs: dict) -> dict:
+def record_doc(label: str, source: str, runs: dict) -> dict:
     """A BENCH_<label>.json document for one side's runs (workload -> runs)."""
     first = next(run for entries in runs.values() for run in entries)["record"]["environment"]
-    scaled = "" if scale == 1.0 else f" --scale {scale}"
     return {
         "label": label,
         "source": f"{source}; each record's src_sha256 names its src",
-        "command": f"python3 bench/run.py --workload <name> --seconds {seconds:g}{scaled} (seed 0, --trace 0)",
+        "command": f"python3 bench/run.py --workload <name> --seconds {BENCHMARK['run_seconds']:g} (seed 0, --trace 0)",
         "host": f"{first['nproc']} CPUs ({first['cpu_model']}), Python {first['python']}, numpy {first['numpy']}",
         "how": (
             "tools/bench_pairs.py run: the parent and the change alternate within each numbered pair "
@@ -136,12 +139,12 @@ def record_doc(label: str, source: str, seconds: float, scale: float, runs: dict
     }
 
 
-def write_records(out: Path, label: str, sources: dict, seconds: float, scale: float, runs: dict) -> list[Path]:
+def write_records(out: Path, label: str, sources: dict, runs: dict) -> list[Path]:
     """Write BENCH_<label>-parent.json and BENCH_<label>.json; returns their paths."""
     paths = []
     for side, name in zip(SIDES, (f"{label}-parent", label)):
         path = out / f"BENCH_{name}.json"
-        doc = record_doc(name, sources[side], seconds, scale, runs[side])
+        doc = record_doc(name, sources[side], runs[side])
         path.write_text(json.dumps(doc, indent=1) + "\n", "utf-8")
         paths.append(path)
     return paths
@@ -158,19 +161,27 @@ def sign_test_k(n: int, alpha: float = 0.025) -> int:
     return k
 
 
-def pair_ratios(parent: dict, change: dict, workload: str, metric: str) -> list[float]:
-    """change/parent of one metric, pair by pair; unequal pair sets are an error."""
+def pair_values(parent: dict, change: dict, workload: str, metric: str) -> tuple[list[float], list[float]]:
+    """(parent, change) values of one metric, pair by pair; unequal pair sets are an error."""
     by_pair = [
         {run["pair"]: run["result"]["metrics"][metric]["value"] for run in doc["workloads"][workload]["runs"]}
         for doc in (parent, change)
     ]
     if by_pair[0].keys() != by_pair[1].keys():
         raise ValueError(f"{workload}: the parent has pairs {sorted(by_pair[0])}, the change {sorted(by_pair[1])}")
-    return [by_pair[1][pair] / by_pair[0][pair] for pair in sorted(by_pair[0])]
+    pairs = sorted(by_pair[0])
+    return [by_pair[0][pair] for pair in pairs], [by_pair[1][pair] for pair in pairs]
 
 
-def verdict(lo: float, hi: float, bound: float) -> str:
-    if hi < 1:
+def clears_spread(parent: list[float], change: list[float]) -> bool:
+    """Whether the change's median is below the parent's by more than the parent's IQR."""
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+    return statistics.median(parent) - statistics.median(change) > q3 - q1
+
+
+def verdict(lo: float, hi: float, bound: float, clear: bool) -> str:
+    """The verdict on a sign-test interval [lo, hi]; clear as clears_spread gives it."""
+    if hi < 1 and clear:
         return "better"
     if lo > 1 + bound:
         return "worse"
@@ -186,7 +197,8 @@ def compare(parent: dict, change: dict) -> list[dict]:
     rows = []
     for workload in (name for name in WORKLOADS if name in parent["workloads"]):
         for metric, bound in BOUNDS.items():
-            ratios = sorted(pair_ratios(parent, change, workload, metric))
+            before, after = pair_values(parent, change, workload, metric)
+            ratios = sorted(b / a for a, b in zip(before, after))
             k = sign_test_k(len(ratios))
             lo, hi = (ratios[k - 1], ratios[-k]) if k else (0.0, math.inf)
             rows.append(
@@ -197,7 +209,7 @@ def compare(parent: dict, change: dict) -> list[dict]:
                     "wins": sum(ratio < 1 for ratio in ratios),
                     "pairs": len(ratios),
                     "interval": (lo, hi),
-                    "verdict": verdict(lo, hi, bound),
+                    "verdict": verdict(lo, hi, bound, clears_spread(before, after)),
                 }
             )
     return rows
@@ -215,15 +227,16 @@ def cmd_run(args) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
         print("bench_pairs: the checkouts' paths differ in length", file=sys.stderr)
+        return 2
     for checkout in checkouts.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src", "bench"], cwd=checkout, check=True)
     runs = run_pairs(
         args.workloads,
         args.pairs,
-        lambda side, workload: run_one(checkouts[side], workload, args.seconds, args.scale),
+        lambda side, workload: run_one(checkouts[side], workload),
     )
     sources = {"parent": args.parent_source or args.parent.name, "change": args.change_source or args.change.name}
-    for path in write_records(args.out, args.label, sources, args.seconds, args.scale, runs):
+    for path in write_records(args.out, args.label, sources, runs):
         print(path)
     return 0
 
@@ -249,8 +262,6 @@ def main(argv=None) -> int:
     run.add_argument("--label", required=True)
     run.add_argument("--pairs", type=int, default=10)
     run.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
-    run.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    run.add_argument("--scale", type=float, default=1.0)
     run.add_argument("--out", type=Path, default=Path("."), help="where the two records go")
     run.add_argument("--parent-source", help="the parent's source in its record (default: its directory name)")
     run.add_argument("--change-source", help="the change's source in its record (default: its directory name)")
