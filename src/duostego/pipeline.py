@@ -34,9 +34,9 @@ from .wav_codec import AudioClip
 # Keeps the sentence-seed stream distinct from the sample-selection
 # stream, which is seeded with the user seed directly.
 _TEXT_STREAM_SALT = 0x74657874_73746567
-# Samples per distortion_report block: under 2 MB of temporaries, so
+# Samples per distortion_report block: under 1 MB of temporaries, so
 # they stay in cache. A block's power sums are below _BLOCK * 0xFFFF**2,
-# which must stay under 2**63 for the int64 dots to be exact.
+# which must stay under 2**63 for its 64-bit sums to be exact.
 _BLOCK = 1 << 16
 # The pinned cover and uncover loops call these two names, and
 # bench/layers.py imports both of them from here.
@@ -173,12 +173,14 @@ def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport
     samples as signed amplitudes. SNR is +inf for identical clips.
     Walks _BLOCK-sample blocks with Python-int totals, so extra memory
     is bounded; mean_abs_delta is the exact |delta| sum divided by n.
-    Per block, one int64 dot gives the signal power exactly (its sum
-    stays below _BLOCK * 0xFFFF**2 < 2**63) and one comparison counts
-    the changed samples. An unchanged sample adds nothing to the damage
-    sums, so when fewer than a quarter of a block changed they are taken
-    over the changed samples alone: past that one pass over the
-    original, cost follows the damage rather than the carrier.
+    No block temporary but a gather's index is wider than 32 bits, each
+    is freed before the next is made, and each sum is exact in 64 bits
+    (a block's sums stay below _BLOCK * 0xFFFF**2 < 2**63): int32 signal
+    squares (<= 2**30), uint16 |delta|, and int32 noise squares read as
+    uint32 (<= 0xFFFF**2 < 2**32). An unchanged sample adds nothing to
+    the damage sums, so when fewer than a quarter of a block changed
+    they are taken over the changed samples alone: past that one pass
+    over the original, cost follows the damage rather than the carrier.
     """
     n = original.sample_count
     if n != stego.sample_count:
@@ -187,21 +189,23 @@ def distortion_report(original: AudioClip, stego: AudioClip) -> DistortionReport
     for block in range(0, n, _BLOCK):
         x = original.samples[block : block + _BLOCK]
         y = stego.samples[block : block + _BLOCK]
-        signal = x.view(np.int16).astype(np.int64)
-        signal_power += int(np.dot(signal, signal))
+        signal_power += int(np.square(x.view(np.int16), dtype=np.int32).sum(dtype=np.int64))
         moved = x != y
         count = int(np.count_nonzero(moved))
         if not count:
             continue
         if 4 * count < x.size:
-            where = np.flatnonzero(moved)
-            x, y, signal = x[where], y[where], signal[where]
-        delta = np.abs(x.astype(np.int32) - y)
-        noise = signal - y.view(np.int16)
+            moved = np.flatnonzero(moved)
+            x, y = x[moved], y[moved]
+        del moved
+        delta = np.maximum(x, y)
+        delta -= np.minimum(x, y)
         changed += count
         max_delta = max(max_delta, int(delta.max()))
-        abs_sum += int(delta.sum(dtype=np.int64))
-        noise_power += int(np.dot(noise, noise))
+        abs_sum += int(delta.sum(dtype=np.uint64))
+        del delta
+        noise = np.subtract(x.view(np.int16), y.view(np.int16), dtype=np.int32)
+        noise_power += int(np.square(noise, out=noise).view(np.uint32).sum(dtype=np.uint64))
     if noise_power == 0:
         snr = math.inf
     else:

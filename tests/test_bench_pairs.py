@@ -16,6 +16,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 PR30 = [ROOT / "BENCH_pr30-parent.json", ROOT / "BENCH_pr30.json"]
+PR31C = [ROOT / "BENCH_pr31c-parent.json", ROOT / "BENCH_pr31c.json"]
 
 
 def load(path):
@@ -25,11 +26,30 @@ def load(path):
 def test_compare_on_the_pr30_records(capsys):
     assert bench_pairs.main(["compare", *map(str, PR30)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * 7
+    assert len(lines) == 3 * 7 + 3
     cells = {tuple(line.split()[:2]): line for line in lines}
     assert cells["full-capacity", "inspect_s"].endswith("wins 10/10  [0.58, 0.71]  better")
     assert cells["full-capacity", "cover_s"].endswith("[0.77, 1.05]  within the bound")
     assert cells["carrier-bound", "setup_s"].endswith("[0.73, 1.39]  unresolved")
+
+
+def test_compare_prints_inspect_faults_without_a_verdict(capsys):
+    assert bench_pairs.main(["compare", *map(str, PR31C)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "text-bound    inspect_minflt  median per timed inspect: parent 2553, change 2850",
+        "carrier-bound inspect_minflt  median per timed inspect: parent 25841, change 25840",
+    ]
+
+
+def test_a_side_without_fault_counts_prints_no_fault_line(tmp_path, capsys):
+    parent = load(PR30[0])
+    for run in parent["workloads"]["text-bound"]["runs"]:
+        del run["inspect_minflt"]
+    (tmp_path / "parent.json").write_text(json.dumps(parent), "utf-8")
+    assert bench_pairs.main(["compare", str(tmp_path / "parent.json"), str(PR30[1])]) == 0
+    faults = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "inspect_minflt" in line]
+    assert faults == ["carrier-bound", "full-capacity"]
 
 
 def test_rows_follow_benchmark_order():
@@ -153,4 +173,46 @@ def test_run_refuses_checkouts_whose_paths_differ_in_length(tmp_path, monkeypatc
     argv = ["run", str(tmp_path / "parent"), str(tmp_path / "change-x"), "--label", "prX", "--out", str(tmp_path)]
     assert bench_pairs.main(argv) == 2
     assert "length" in capsys.readouterr().err
+    assert list(tmp_path.glob("BENCH_*")) == []
+
+
+def benchmark_tree(root):
+    """A checkout holding only BENCHMARK.json and bench/, with a stale bytecode file."""
+    (root / "bench" / "__pycache__").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 25}\n', "utf-8")
+    (root / "bench" / "run.py").write_text("print('run')\n", "utf-8")
+    (root / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(root.name.encode())
+    return root
+
+
+class RunStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def run_argv(tmp_path, monkeypatch):
+    """argv for `run` on two checkouts under tmp_path; starting a run raises RunStarted."""
+
+    def no_run(*args, **kwargs):
+        raise RunStarted
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    monkeypatch.setattr(bench_pairs, "run_pairs", no_run)
+    return ["run", str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "prX", "--out", str(tmp_path)]
+
+
+def test_run_accepts_checkouts_that_differ_only_in_bytecode(tmp_path, run_argv):
+    benchmark_tree(tmp_path / "parent")
+    benchmark_tree(tmp_path / "change")
+    with pytest.raises(RunStarted):
+        bench_pairs.main(run_argv)
+
+
+@pytest.mark.parametrize("name", ["bench/run.py", "BENCHMARK.json", "bench/extra.py"])
+def test_run_refuses_checkouts_whose_benchmarks_differ(tmp_path, run_argv, capsys, name):
+    benchmark_tree(tmp_path / "parent")
+    change = benchmark_tree(tmp_path / "change")
+    (change / name).write_text("changed\n", "utf-8")
+    assert bench_pairs.main(run_argv) == 2
+    assert name in capsys.readouterr().err
     assert list(tmp_path.glob("BENCH_*")) == []

@@ -12,8 +12,10 @@ page faults of every timed `inspect`. The runs are written as
 BENCH_<label>-parent.json and BENCH_<label>.json, in the format that
 tests/test_bench_records.py checks. Every run is BENCHMARK.json's
 run_seconds long, at scale 1. The two checkouts' paths must be of equal
-length, since the paths are in every command line the benchmark runs;
-`run` refuses them otherwise.
+length, since the paths are in every command line the benchmark runs,
+and their BENCHMARK.json and bench/ files (outside __pycache__) must be
+the same, so that the pairs compare one benchmark; `run` refuses them
+otherwise, before any run.
 
 `compare` takes, per workload and end-to-end metric, the ratio
 change/parent of each pair. It prints their median, the pairs the change
@@ -24,7 +26,9 @@ The verdict, with b the metric's bound in BENCHMARK.json, is `better` if
 the whole interval is below 1 and the change's median is below the
 parent's by more than the parent's interquartile range, `worse` if the
 interval is above 1 + b, `within the bound` if its top is at most 1 + b,
-and `unresolved` otherwise.
+and `unresolved` otherwise. Then, per workload and with no verdict, it
+prints each side's median minor faults per timed `inspect`, over all the
+timed calls of its runs.
 """
 
 from __future__ import annotations
@@ -95,6 +99,16 @@ def run_one(checkout: Path, workload: str) -> dict:
     record, result, faults = map(json.loads, lines)
     record = {k: v for k, v in record["record"].items() if k not in DROPPED}
     return {"record": record, "result": result, **faults}
+
+
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """A checkout's BENCHMARK.json and bench/ files outside __pycache__, by relative path."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]
+    return {
+        path.relative_to(checkout).as_posix(): path.read_bytes()
+        for path in paths
+        if path.is_file() and "__pycache__" not in path.parts
+    }
 
 
 def run_pairs(workloads: list[str], pairs: int, one) -> dict:
@@ -215,6 +229,17 @@ def compare(parent: dict, change: dict) -> list[dict]:
     return rows
 
 
+def minflt_median(doc: dict, workload: str) -> int | None:
+    """The median minor faults per timed inspect over a workload's runs; None without counts."""
+    faults = [
+        int(count)
+        for run in doc["workloads"][workload]["runs"]
+        for count, reps in run.get("inspect_minflt", {}).items()
+        for _ in range(reps)
+    ]
+    return statistics.median_low(faults) if faults else None
+
+
 def format_row(row: dict) -> str:
     lo, hi = row["interval"]
     return (
@@ -227,6 +252,11 @@ def cmd_run(args) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
         print("bench_pairs: the checkouts' paths differ in length", file=sys.stderr)
+        return 2
+    before, after = (benchmark_files(checkout) for checkout in checkouts.values())
+    differ = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    if differ:
+        print(f"bench_pairs: the checkouts' benchmarks differ in {', '.join(differ)}", file=sys.stderr)
         return 2
     for checkout in checkouts.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src", "bench"], cwd=checkout, check=True)
@@ -250,6 +280,10 @@ def cmd_compare(args) -> int:
         return 2
     for row in rows:
         print(format_row(row))
+    for workload in dict.fromkeys(row["workload"] for row in rows):
+        faults = [minflt_median(doc, workload) for doc in (parent, change)]
+        if None not in faults:
+            print(f"{workload:<13} inspect_minflt  median per timed inspect: parent {faults[0]}, change {faults[1]}")
     return 0
 
 
