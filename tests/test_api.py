@@ -46,6 +46,16 @@ def test_sentence_generator_is_a_plain_function():
     assert pipeline.DEFAULT_GRAMMAR.generate_sentence is grammar.generate_sentence
 
 
+def test_cli_path_overrides_only_read_bytes():
+    # The pinned readers call Path(...).read_bytes(), so cli binds Path to a
+    # pathlib subclass that reads bytes through wav_codec.read_file; the text
+    # reader and the writers stay pathlib's own.
+    assert issubclass(cli.Path, Path)
+    assert [name for name in vars(cli.Path) if not name.startswith("__")] == ["read_bytes"]
+    for name in ("read_text", "write_bytes", "write_text"):
+        assert getattr(cli.Path, name) is getattr(Path, name)
+
+
 def fresh_modules(script, cwd):
     """sorted(sys.modules) after script runs in a fresh interpreter in cwd."""
     root = Path(__file__).resolve().parent.parent

@@ -17,6 +17,7 @@ _spec.loader.exec_module(bench_pairs)
 
 PR30 = [ROOT / "BENCH_pr30-parent.json", ROOT / "BENCH_pr30.json"]
 PR31C = [ROOT / "BENCH_pr31c-parent.json", ROOT / "BENCH_pr31c.json"]
+PR34 = [ROOT / "BENCH_pr34-parent.json", ROOT / "BENCH_pr34.json"]
 
 
 def load(path):
@@ -40,6 +41,25 @@ def test_compare_prints_inspect_faults_without_a_verdict(capsys):
         "text-bound    inspect_minflt  median per timed inspect: parent 2553, change 2850",
         "carrier-bound inspect_minflt  median per timed inspect: parent 25841, change 25840",
     ]
+
+
+def test_compare_prints_the_faults_of_every_timed_command(capsys):
+    assert bench_pairs.main(["compare", *map(str, PR34)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 * 7 + 3 * 3
+    faults = [tuple(line.split()[:2]) for line in lines[3 * 7 :]]
+    assert faults == [(w, f"{c}_minflt") for w in bench_pairs.WORKLOADS for c in ("cover", "uncover", "inspect")]
+    assert lines[-5:-3] == [
+        "carrier-bound uncover_minflt  median per timed uncover: parent 12920, change 656",
+        "carrier-bound inspect_minflt  median per timed inspect: parent 25840, change 801",
+    ]
+
+
+def test_an_older_record_compares_on_inspect_faults_alone(capsys):
+    # BENCH_pr33.json, like every record before it, counts only inspect's faults.
+    assert bench_pairs.main(["compare", str(ROOT / "BENCH_pr33.json"), str(PR34[1])]) == 0
+    faults = [line.split()[1] for line in capsys.readouterr().out.splitlines()[3 * 7 :]]
+    assert faults == ["inspect_minflt"] * 3
 
 
 def test_a_side_without_fault_counts_prints_no_fault_line(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import argparse
 import gc
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,46 @@ class TestReporting:
         out = capsys.readouterr().out
         assert "samples changed" in out
         assert "dB" in out
+
+
+class TestReadingFiles:
+    """The CLI reads each WAV and payload file through wav_codec.read_file."""
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    def test_unreadable_wav_fails_as_before(self, tmp_path, carrier_path, capsys, make):
+        bad = tmp_path / "bad.wav"
+        make(bad)
+        with pytest.raises(OSError) as expected:
+            bad.read_bytes()  # pathlib's own read, which the CLI used before
+        assert main(["inspect", str(bad), str(carrier_path)]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert str(expected.value).startswith("[Errno ")
+
+    def test_cover_over_its_own_carrier_writes_the_same_files(self, tmp_path, carrier_path):
+        _, fresh, fresh_text, _ = run_cover(tmp_path, carrier_path)
+        own = tmp_path / "own.wav"
+        own.write_bytes(carrier_path.read_bytes())
+        argv = ["cover", str(own), str(tmp_path / "payload.bin"), "-o", str(own), "-t", str(tmp_path / "own.txt")]
+        assert main([*argv, "--seed", "271828"]) == 0
+        assert own.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "own.txt").read_bytes() == fresh_text.read_bytes()
+
+    def test_inspect_of_a_file_against_itself_changes_nothing(self, carrier_path, capsys):
+        assert main(["inspect", str(carrier_path), str(carrier_path)]) == 0
+        assert "samples changed: 0\n" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_stego_read_through_a_pipe(self, tmp_path, carrier_path, capsys):
+        _, stego, text, payload = run_cover(tmp_path, carrier_path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(stego.read_bytes()), daemon=True)
+        writer.start()
+        assert main(["uncover", str(pipe), str(text), "-o", str(tmp_path / "out.bin")]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (tmp_path / "out.bin").read_bytes() == payload
+        capsys.readouterr()
 
 
 class TestExitCodes:

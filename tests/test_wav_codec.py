@@ -1,7 +1,9 @@
 import gc
+import os
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from duostego.errors import (
 )
 from duostego import wav_codec
 from duostego.pipeline import cover
-from duostego.wav_codec import AudioClip, parse_wav, sample_buffer, write_wav
+from duostego.wav_codec import AudioClip, parse_wav, read_file, sample_buffer, write_wav
 
 from conftest import data_chunk_of, pcm_fmt_body, raw_wav_bytes, ref_wav_bytes, same_clip, traced_peak
 from oracles import write_wav_oracle
@@ -554,6 +556,67 @@ class TestMemory:
         assert peak < 2**20
         copied = AudioClip(stego.sample_rate, stego.channel_count, stego.samples.copy())
         assert data == write_wav(copied)
+
+
+class TestReadFile:
+    """read_file gives exactly a file's bytes, in a read-only buffer parse_wav views."""
+
+    CONTENT = bytes(range(256)) * 16 + b"tail"
+
+    # 5 MiB + 3 is above numpy's 4 MiB huge-page threshold.
+    @pytest.mark.parametrize("size", [0, 1, 4097, 5 * (1 << 20) + 3])
+    def test_equals_read_bytes(self, tmp_path, size):
+        path = tmp_path / "file.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        data = read_file(path)
+        assert type(data) is memoryview and data.readonly and data.format == "B"
+        assert data == path.read_bytes()
+
+    def test_parse_views_the_buffer(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        path.write_bytes(ref_wav_bytes(list(range(1000)), rate=8000))
+        buf = read_file(path)
+        clip = parse_wav(buf)
+        assert np.shares_memory(clip.samples, buf)
+        assert clip.samples.tolist() == list(range(1000))
+
+    @pytest.mark.parametrize("reported", [0, 100, len(CONTENT) + 1, 1 << 20])
+    def test_size_fstat_misreports_is_read_in_full(self, tmp_path, monkeypatch, reported):
+        path = tmp_path / "file.bin"
+        path.write_bytes(self.CONTENT)
+        monkeypatch.setattr(wav_codec, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=reported)))
+        assert read_file(path) == self.CONTENT
+
+    @pytest.mark.parametrize("size", [0, 100, 2 * len(CONTENT)])
+    def test_file_resized_after_fstat_is_read_as_it_ends(self, tmp_path, monkeypatch, size):
+        path = tmp_path / "file.bin"
+        path.write_bytes(self.CONTENT)
+        resized = (self.CONTENT * 2)[:size]
+
+        def fstat_then_resize(fd):
+            result = os.fstat(fd)
+            path.write_bytes(resized)  # truncates, then writes, through a second descriptor
+            return result
+
+        monkeypatch.setattr(wav_codec, "os", SimpleNamespace(fstat=fstat_then_resize))
+        assert read_file(path) == resized
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_read_to_its_end(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        content = np.random.default_rng(7).bytes(300_000)  # more than a pipe buffer holds
+
+        def feed():
+            with open(path, "wb") as pipe:
+                pipe.write(content)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        data = read_file(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert data == content and data.readonly
 
 
 # A valid file with chunks on both sides of the data chunk (one odd-length).

@@ -8,14 +8,14 @@ checkout's root, after byte-compiling its src/ and bench/. Within pair i
 the parent runs first when i is odd and the change first when i is even,
 and the workloads are interleaved pair by pair, so a drift in the
 host's speed falls on both sides alike. Each run also counts the minor
-page faults of every timed `inspect`. The runs are written as
-BENCH_<label>-parent.json and BENCH_<label>.json, in the format that
-tests/test_bench_records.py checks. Every run is BENCHMARK.json's
-run_seconds long, at scale 1. The two checkouts' paths must be of equal
-length, since the paths are in every command line the benchmark runs,
-and their BENCHMARK.json and bench/ files (outside __pycache__) must be
-the same, so that the pairs compare one benchmark; `run` refuses them
-otherwise, before any run.
+page faults of every timed `cover`, `uncover` and `inspect`. The runs
+are written as BENCH_<label>-parent.json and BENCH_<label>.json, in the
+format that tests/test_bench_records.py checks. Every run is
+BENCHMARK.json's run_seconds long, at scale 1. The two checkouts' paths
+must be of equal length, since the paths are in every command line the
+benchmark runs, and their BENCHMARK.json and bench/ files (outside
+__pycache__) must be the same, so that the pairs compare one benchmark;
+`run` refuses them otherwise, before any run.
 
 `compare` takes, per workload and end-to-end metric, the ratio
 change/parent of each pair. It prints their median, the pairs the change
@@ -27,8 +27,9 @@ the whole interval is below 1 and the change's median is below the
 parent's by more than the parent's interquartile range, `worse` if the
 interval is above 1 + b, `within the bound` if its top is at most 1 + b,
 and `unresolved` otherwise. Then, per workload and with no verdict, it
-prints each side's median minor faults per timed `inspect`, over all the
-timed calls of its runs.
+prints each side's median minor faults per timed call of each command
+that both sides counted, over all the timed calls of its runs. Records
+made before `cover` and `uncover` were counted hold `inspect` only.
 """
 
 from __future__ import annotations
@@ -47,26 +48,27 @@ UNITS = {metric["name"]: metric["unit"] for metric in BENCHMARK["end_to_end"]}
 BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 SIDES = ("parent", "change")
+COMMANDS = ("cover", "uncover", "inspect")  # the timed calls whose minor faults a run counts
 # Per-run detail that run.py's record holds but the records leave out.
 DROPPED = ("reps", "setup_s")
 
 # Runs in a fresh interpreter in the checkout's root, with run.py's
-# arguments in sys.argv. It counts the faults of each timed inspect
+# arguments in sys.argv. It counts the faults of each timed command
 # (Bench.rep on the main case), then prints them after run.py's lines.
 WRAPPER = """\
 import collections, importlib.util, json, resource, sys
 spec = importlib.util.spec_from_file_location("run", "bench/run.py")
 run = sys.modules["run"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run)
-faults, timed = collections.Counter(), [False]
+faults, timed = collections.defaultdict(collections.Counter), [False]
 call_cli, rep = run.call_cli, run.Bench.rep
 
 def counted_call(cli, argv):
-    if not (timed[0] and argv[0] == "inspect"):
+    if not timed[0]:
         return call_cli(cli, argv)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     out = call_cli(cli, argv)
-    faults[resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before] += 1
+    faults[argv[0]][resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before] += 1
     return out
 
 def counted_rep(self, case, prefix=""):
@@ -78,13 +80,13 @@ def counted_rep(self, case, prefix=""):
 
 run.call_cli, run.Bench.rep = counted_call, counted_rep
 code = run.main(sys.argv[1:])
-print(json.dumps({"inspect_minflt": {str(k): faults[k] for k in sorted(faults)}}))
+print(json.dumps({f"{c}_minflt": {str(k): n for k, n in sorted(counts.items())} for c, counts in faults.items()}))
 sys.exit(code)
 """
 
 
 def run_one(checkout: Path, workload: str) -> dict:
-    """One wrapped bench/run.py run: {"record", "result", "inspect_minflt"}."""
+    """One wrapped bench/run.py run: {"record", "result"} and a <command>_minflt per command."""
     argv = ["--workload", workload, "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, "-c", WRAPPER, *argv],
@@ -145,8 +147,8 @@ def record_doc(label: str, source: str, runs: dict) -> dict:
             "(the parent first in odd pairs, the change first in even ones), with the workloads interleaved "
             "pair by pair. Each checkout is byte-compiled first (python -m compileall -f src bench) and "
             "run from its own root, through a wrapper that imports its bench/run.py and reads getrusage "
-            "minor faults around each timed inspect call (inspect_minflt: fault count -> timed repetitions "
-            "with that count); the result and record lines are run.py's own. The record's per-run setup_s "
+            "minor faults around each timed cover, uncover and inspect call (<command>_minflt: fault count -> "
+            "timed repetitions with that count); the result and record lines are run.py's own. The record's per-run setup_s "
             "list and reps are left out; the result holds their medians."
         ),
         "workloads": {name: {"runs": entries, "median": medians(entries)} for name, entries in runs.items()},
@@ -229,12 +231,12 @@ def compare(parent: dict, change: dict) -> list[dict]:
     return rows
 
 
-def minflt_median(doc: dict, workload: str) -> int | None:
-    """The median minor faults per timed inspect over a workload's runs; None without counts."""
+def minflt_median(doc: dict, workload: str, command: str) -> int | None:
+    """The median minor faults per timed call of command over a workload's runs; None without counts."""
     faults = [
         int(count)
         for run in doc["workloads"][workload]["runs"]
-        for count, reps in run.get("inspect_minflt", {}).items()
+        for count, reps in run.get(f"{command}_minflt", {}).items()
         for _ in range(reps)
     ]
     return statistics.median_low(faults) if faults else None
@@ -281,9 +283,11 @@ def cmd_compare(args) -> int:
     for row in rows:
         print(format_row(row))
     for workload in dict.fromkeys(row["workload"] for row in rows):
-        faults = [minflt_median(doc, workload) for doc in (parent, change)]
-        if None not in faults:
-            print(f"{workload:<13} inspect_minflt  median per timed inspect: parent {faults[0]}, change {faults[1]}")
+        for command in COMMANDS:
+            faults = [minflt_median(doc, workload, command) for doc in (parent, change)]
+            if None not in faults:
+                key = f"{command}_minflt"
+                print(f"{workload:<13} {key:<15} median per timed {command}: parent {faults[0]}, change {faults[1]}")
     return 0
 
 
